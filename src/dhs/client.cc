@@ -458,9 +458,8 @@ Status DhsClient::ProbeInterval(uint64_t origin_node, int bit,
   return Status::OK();
 }
 
-StatusOr<DhsCountResult> DhsClient::Count(uint64_t origin_node,
-                                          uint64_t metric_id, Rng& rng) {
-  auto many = CountMany(origin_node, {metric_id}, rng);
+StatusOr<DhsCountResult> SingleCountResult(
+    StatusOr<DhsClient::MultiCountResult> many) {
   if (!many.ok()) return many.status();
   DhsCountResult result;
   result.estimate = many->estimates[0];
@@ -469,6 +468,11 @@ StatusOr<DhsCountResult> DhsClient::Count(uint64_t origin_node,
   result.bitmaps_unresolved = many->bitmaps_unresolved;
   result.cost = many->cost;
   return result;
+}
+
+StatusOr<DhsCountResult> DhsClient::Count(uint64_t origin_node,
+                                          uint64_t metric_id, Rng& rng) {
+  return SingleCountResult(CountMany(origin_node, {metric_id}, rng));
 }
 
 StatusOr<DhsClient::MultiCountResult> DhsClient::CountMany(

@@ -200,6 +200,10 @@ class DhsClient {
   [[nodiscard]] Status AuditFull() const;
 
  private:
+  // The sharded front door closes its insert batches out with this
+  // client's audit, root-span annotations and op metrics.
+  friend class DhsFrontDoor;
+
   DhsClient(DhtNetwork* network, const DhsConfig& config,
             std::shared_ptr<Transport> transport);
 
@@ -315,6 +319,11 @@ class DhsClient {
   Counter* m_frontier_hits_ = nullptr;    // interned with op metrics
   Counter* m_frontier_misses_ = nullptr;
 };
+
+/// The single-metric view of a one-metric CountMany result (the Count
+/// convenience of every count endpoint).
+[[nodiscard]] StatusOr<DhsCountResult> SingleCountResult(
+    StatusOr<DhsClient::MultiCountResult> many);
 
 }  // namespace dhs
 

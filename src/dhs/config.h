@@ -88,9 +88,9 @@ struct DhsConfig {
   /// kNoExpiry disables aging.
   uint64_t ttl_ticks = kNoExpiry;
 
-  /// Frontier cache for sLL/HLL counting (honoured by both DhsClient
-  /// and the sharded DhsFrontDoor): remember the raw observables of
-  /// the last complete count per metric and start the next high -> low
+  /// Frontier cache for sLL/HLL counting (DhsClient's, which the
+  /// sharded DhsFrontDoor counts through): remember the raw observables
+  /// of the last complete count per metric and start the next high -> low
   /// scan at the cached max rho instead of MaxBit — sound because
   /// soft-state decay and node failures can only *lower* a bitmap's
   /// max rho, and the cache is invalidated on every insert through the

@@ -1,7 +1,5 @@
 #include "dhs/front_door.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 #include <set>
 #include <utility>
@@ -9,10 +7,7 @@
 #include "common/check.h"
 #include "dht/fault.h"
 #include "dht/wire.h"
-#include "dhs/lim.h"
 #include "dhs/mapping.h"
-#include "sketch/estimator.h"
-#include "sketch/hyperloglog.h"
 
 namespace dhs {
 
@@ -22,15 +17,10 @@ namespace {
 // (the client's kReplicaSlack), so unreachable candidates fall through.
 constexpr int kReplicaSlack = 2;
 
-// Indexed by DhsFrontDoor::OpIndex; the same op names the sequential
-// client uses, so both paths feed the same metric series.
-constexpr const char* kOpNames[] = {"insert_batch", "count"};
-
 /// Folds one engine outcome into the client-style cost report. The
 /// engine's charging rules mirror the sequential client's, so the
 /// mapping is field-for-field.
 void AccumulateCost(const ShardOpOutcome& outcome, DhsCostReport* cost) {
-  cost->nodes_visited += static_cast<int>(outcome.visited.size());
   cost->hops += static_cast<int>(outcome.delta.hops);
   cost->bytes += outcome.delta.bytes;
   cost->dht_lookups += outcome.lookups_issued;
@@ -53,95 +43,6 @@ StatusOr<DhsFrontDoor> DhsFrontDoor::Create(ShardedNetwork* engine,
   return DhsFrontDoor(engine, std::move(client.value()));
 }
 
-int DhsFrontDoor::LimForBit(int bit, const DhsCountOptions& options) const {
-  const DhsConfig& config = client_.config();
-  const int flat = options.lim_override > 0
-                       ? std::clamp(options.lim_override, 1, config.max_lim)
-                       : config.lim;
-  if (!config.adaptive_lim || config.expected_cardinality == 0) {
-    return flat;
-  }
-  auto interval = client_.mapping().IntervalForBit(bit);
-  if (!interval.ok()) return flat;
-  const double fraction =
-      std::ldexp(static_cast<double>(interval->size),
-                 -network()->space().bits());
-  const double n_bins =
-      fraction * static_cast<double>(network()->NumNodes());
-  if (n_bins < 2.0) return flat;
-  const double n_items = std::ldexp(
-      static_cast<double>(config.expected_cardinality), -(bit + 1));
-  const int required = RequiredProbesReplicated(
-      static_cast<uint64_t>(n_bins), static_cast<uint64_t>(n_items),
-      config.m, config.replication,
-      /*p_miss=*/1.0 - config.adaptive_confidence);
-  return std::clamp(required, flat, config.max_lim);
-}
-
-void DhsFrontDoor::MaybeAudit() const {
-  if (!client_.config().audit) return;
-  CHECK_OK(network()->AuditFull()) << "after a sharded DHS operation";
-  CHECK_OK(client_.AuditFull()) << "after a sharded DHS operation";
-}
-
-const DhsFrontDoor::OpMetrics* DhsFrontDoor::MetricsFor(OpIndex op) {
-  MetricsRegistry* registry = network()->metrics();
-  if (registry == nullptr) return nullptr;
-  if (registry != metrics_cached_) {
-    for (int i = 0; i < kNumOps; ++i) {
-      const MetricLabels labels = {
-          {"op", kOpNames[i]},
-          {"geometry", network()->GeometryName()},
-          {"estimator", DhsEstimatorName(client_.config().estimator)}};
-      OpMetrics& m = op_metrics_[i];
-      m.ops = registry->GetCounter("dhs_ops_total", labels);
-      m.errors = registry->GetCounter("dhs_op_errors_total", labels);
-      m.hops = registry->GetHistogram(
-          "dhs_op_hops", {4, 16, 64, 256, 1024, 4096}, labels);
-      m.bytes = registry->GetHistogram(
-          "dhs_op_bytes", {64, 256, 1024, 4096, 16384, 65536}, labels);
-      m.retries = registry->GetCounter("dhs_op_retries_total", labels);
-      m.failed_probes =
-          registry->GetCounter("dhs_op_failed_probes_total", labels);
-    }
-    const MetricLabels cache_labels = {
-        {"geometry", network()->GeometryName()},
-        {"estimator", DhsEstimatorName(client_.config().estimator)}};
-    m_frontier_hits_ = registry->GetCounter(
-        "dhs_frontier_cache_hits_total", cache_labels);
-    m_frontier_misses_ = registry->GetCounter(
-        "dhs_frontier_cache_misses_total", cache_labels);
-    metrics_cached_ = registry;
-  }
-  return &op_metrics_[op];
-}
-
-void DhsFrontDoor::FinishOp(ScopedSpan& span, OpIndex op,
-                            const DhsCostReport& cost, bool ok) {
-  if (span.active()) {
-    span.Arg(TraceArg::Str("op", kOpNames[op]));
-    span.Arg(TraceArg::Bool("ok", ok));
-    span.Arg(TraceArg::I64("nodes_visited", cost.nodes_visited));
-    span.Arg(TraceArg::I64("op_hops", cost.hops));
-    span.Arg(TraceArg::U64("op_bytes", cost.bytes));
-    span.Arg(TraceArg::I64("dht_lookups", cost.dht_lookups));
-    span.Arg(TraceArg::I64("direct_probes", cost.direct_probes));
-    span.Arg(TraceArg::I64("retries", cost.retries));
-    span.Arg(TraceArg::I64("failed_probes", cost.failed_probes));
-    span.Arg(TraceArg::I64("replicas_requested", cost.replicas_requested));
-    span.Arg(TraceArg::I64("replicas_written", cost.replicas_written));
-    span.Arg(TraceArg::I64("bit_groups_failed", cost.bit_groups_failed));
-  }
-  const OpMetrics* m = MetricsFor(op);
-  if (m == nullptr) return;
-  m->ops->Increment();
-  if (!ok) m->errors->Increment();
-  m->hops->Observe(cost.hops);
-  m->bytes->Observe(static_cast<double>(cost.bytes));
-  m->retries->Increment(static_cast<uint64_t>(cost.retries));
-  m->failed_probes->Increment(static_cast<uint64_t>(cost.failed_probes));
-}
-
 StatusOr<CompiledInsertBatch> DhsFrontDoor::CompileInsertBatch(
     uint64_t origin_node, uint64_t metric_id,
     const std::vector<uint64_t>& item_hashes, Rng& rng) {
@@ -149,7 +50,7 @@ StatusOr<CompiledInsertBatch> DhsFrontDoor::CompileInsertBatch(
     return Status::InvalidArgument("origin is not a live node");
   }
   const DhsConfig& config = client_.config();
-  if (config.frontier_cache) frontier_.erase(metric_id);
+  client_.InvalidateFrontier(metric_id);
 
   // §3.2 bulk insertion: one kPut per bit position carrying that
   // position's deduplicated vector updates.
@@ -246,37 +147,10 @@ StatusOr<DhsCostReport> DhsFrontDoor::InsertBatch(
   const Status folded =
       FoldInsertOutcomes(*compiled, outcomes.data(), outcomes.size(), &cost);
 
-  MaybeAudit();
-  FinishOp(span, kOpInsertBatch, cost, folded.ok());
+  client_.MaybeAudit();
+  client_.FinishOp(span, DhsClient::kOpInsertBatch, cost, folded.ok());
   if (!folded.ok()) return folded;
   return cost;
-}
-
-ShardOp DhsFrontDoor::MakeProbeOp(uint64_t origin, int bit,
-                                  const std::vector<uint64_t>& metric_ids,
-                                  const IdInterval& interval,
-                                  const DhsCountOptions& options,
-                                  Rng& rng) const {
-  const DhsConfig& config = client_.config();
-  ShardOp op;
-  op.kind = ShardOp::kProbe;
-  op.origin = origin;
-  op.key = client_.mapping().RandomIdIn(interval, rng);
-  op.interval = interval;
-  op.payload_bytes = config.ProbeRequestBytes();
-  op.lim = LimForBit(bit, options);
-  op.queries.reserve(metric_ids.size());
-  for (uint64_t metric_id : metric_ids) {
-    op.queries.emplace_back(metric_id, bit);
-  }
-  op.response_base_bytes = config.ProbeResponseBytes(0);
-  op.response_per_record_bytes =
-      config.ProbeResponseBytes(1) - config.ProbeResponseBytes(0);
-  ProbeOpenFrame probe;
-  probe.target_key = op.key;
-  probe.bit = bit;
-  op.frame = EncodeProbeOpen(probe);
-  return op;
 }
 
 StatusOr<DhsClient::MultiCountResult> DhsFrontDoor::CountMany(
@@ -288,231 +162,21 @@ StatusOr<DhsClient::MultiCountResult> DhsFrontDoor::CountMany(
 StatusOr<DhsClient::MultiCountResult> DhsFrontDoor::CountMany(
     uint64_t origin_node, const std::vector<uint64_t>& metric_ids, Rng& rng,
     const DhsCountOptions& options) {
-  if (metric_ids.empty()) {
-    return Status::InvalidArgument("no metrics given");
+  // A crash drawn mid-count would change membership behind the
+  // engine's back and leave its shard plan stale, so crash plans are
+  // refused here as ExecuteBatch refuses them.
+  const FaultPlan& faults = network()->fault_plan();
+  if (faults.active() && faults.config().crash_probability > 0.0) {
+    return Status::InvalidArgument(
+        "front-door counts cannot inject crash faults (membership "
+        "changes must go through the engine)");
   }
-  if (!network()->Contains(origin_node)) {
-    return Status::InvalidArgument("origin is not a live node");
-  }
-  const DhsConfig& config = client_.config();
-  const BitMapping& mapping = client_.mapping();
-  ScopedSpan span(network()->tracer(), "count");
-  if (span.active()) {
-    span.Arg(TraceArg::U64("metrics", metric_ids.size()));
-  }
-
-  const bool pcsa = config.estimator == DhsEstimator::kPcsa;
-
-  // Frontier cache (sLL/HLL): when every metric of the sweep has a
-  // cached raw observable set, bits above the cached max rho were
-  // empty at the last complete count — absent (invalidating) inserts,
-  // decay can only have emptied more — so the sweep starts at the
-  // frontier (the client's cache semantics on the sharded path).
-  int start_bit = mapping.MaxBit();
-  if (config.frontier_cache && !pcsa) {
-    MetricsFor(kOpCount);  // interns the hit/miss counters
-    bool hit = true;
-    int frontier = mapping.MinBit() - 1;
-    for (uint64_t metric_id : metric_ids) {
-      auto it = frontier_.find(metric_id);
-      if (it == frontier_.end()) {
-        hit = false;
-        break;
-      }
-      for (int v : it->second) frontier = std::max(frontier, v);
-    }
-    if (hit) {
-      start_bit = std::min(start_bit, frontier);
-      if (m_frontier_hits_ != nullptr) m_frontier_hits_->Increment();
-    } else {
-      if (m_frontier_misses_ != nullptr) m_frontier_misses_->Increment();
-    }
-  }
-
-  // One kProbe per bit interval, issued as a single batch in scan
-  // order (the sequential client scans sequentially and can stop
-  // early; the batch always sweeps the full range below the start bit
-  // — the extra probes cannot change the observables, only the cost).
-  std::vector<int> bits;
-  if (pcsa) {
-    for (int r = mapping.MinBit(); r <= mapping.MaxBit(); ++r) {
-      bits.push_back(r);
-    }
-  } else {
-    for (int r = start_bit; r >= mapping.MinBit(); --r) {  // high -> low
-      bits.push_back(r);
-    }
-  }
-
-  std::vector<ShardOp> ops;
-  ops.reserve(bits.size());
-  for (int r : bits) {
-    auto interval = mapping.IntervalForBit(r);
-    if (!interval.ok()) {
-      FinishOp(span, kOpCount, DhsCostReport{}, /*ok=*/false);
-      return interval.status();
-    }
-    ops.push_back(
-        MakeProbeOp(origin_node, r, metric_ids, *interval, options, rng));
-  }
-
-  auto outcomes = engine_->ExecuteBatch(ops);
-  if (!outcomes.ok()) {
-    FinishOp(span, kOpCount, DhsCostReport{}, /*ok=*/false);
-    return outcomes.status();
-  }
-
-  const size_t num_metrics = metric_ids.size();
-  const int m = config.m;
-  DhsClient::MultiCountResult result;
-  result.observables.assign(num_metrics, std::vector<int>(m, -1));
-
-  // Replay the outcomes in scan order with the sequential client's
-  // resolution rules, so observables / gave_up / bitmaps_unresolved
-  // match the sequential semantics bit for bit. Costs accumulate over
-  // every probed interval (the full sweep).
-  for (const ShardOpOutcome& outcome : *outcomes) {
-    AccumulateCost(outcome, &result.cost);
-    if (!outcome.status.ok() && !IsTransientFault(outcome.status)) {
-      FinishOp(span, kOpCount, DhsCostReport{}, /*ok=*/false);
-      return outcome.status;
-    }
-  }
-
-  if (!pcsa) {
-    // sLL/HLL: first set bit found (high -> low) is the max rho.
-    size_t total_unresolved = num_metrics * static_cast<size_t>(m);
-    for (size_t i = 0; i < bits.size() && total_unresolved > 0; ++i) {
-      const ShardOpOutcome& outcome = (*outcomes)[i];
-      const int r = bits[i];
-      if (!outcome.status.ok()) {  // interval abandoned
-        result.gave_up = true;
-        result.bitmaps_unresolved = std::max(
-            result.bitmaps_unresolved, static_cast<int>(total_unresolved));
-        continue;
-      }
-      for (size_t v = 0; v < outcome.visited.size(); ++v) {
-        for (size_t mi = 0; mi < num_metrics; ++mi) {
-          std::vector<int>& observed = result.observables[mi];
-          for (int vec : outcome.found[v][mi]) {
-            if (vec < m && observed[vec] < 0) {
-              observed[vec] = r;
-              --total_unresolved;
-            }
-          }
-        }
-      }
-    }
-    // Cache raw observables (before the bit-shift backfill mutates
-    // them) — only from a fully resolved count: an abandoned interval
-    // OR a skipped probe candidate (failed_probes) could have hidden a
-    // higher rho, and caching it would pin future scans low.
-    if (config.frontier_cache && !result.gave_up &&
-        result.cost.failed_probes == 0) {
-      for (size_t mi = 0; mi < num_metrics; ++mi) {
-        StoreFrontier(metric_ids[mi], result.observables[mi]);
-      }
-    }
-    result.estimates.reserve(num_metrics);
-    for (auto& observed : result.observables) {
-      const bool all_empty = std::all_of(
-          observed.begin(), observed.end(), [](int v) { return v < 0; });
-      if (!all_empty && config.shift_bits > 0) {
-        // Bit-shift rule: unobserved bitmaps still have rho up to
-        // shift_bits - 1 among the assumed-set positions.
-        for (int& v : observed) {
-          if (v < 0) v = config.shift_bits - 1;
-        }
-      }
-      result.estimates.push_back(
-          config.estimator == DhsEstimator::kHyperLogLog
-              ? HyperLogLogEstimateFromM(observed)
-              : SuperLogLogEstimateFromM(observed, config.theta0));
-    }
-  } else {
-    // PCSA: the observable is the first position (low -> high) with no
-    // set bit found (the leftmost zero).
-    size_t total_open = num_metrics * static_cast<size_t>(m);
-    std::vector<std::vector<char>> observed_here(
-        num_metrics, std::vector<char>(static_cast<size_t>(m), 0));
-    for (size_t i = 0; i < bits.size() && total_open > 0; ++i) {
-      const ShardOpOutcome& outcome = (*outcomes)[i];
-      const int r = bits[i];
-      if (!outcome.status.ok()) {
-        // No information at r: leave open bitmaps open (mildly high)
-        // rather than collapsing them to r.
-        result.gave_up = true;
-        result.bitmaps_unresolved = std::max(result.bitmaps_unresolved,
-                                             static_cast<int>(total_open));
-        continue;
-      }
-      for (auto& flags : observed_here) {
-        std::fill(flags.begin(), flags.end(), 0);
-      }
-      for (size_t v = 0; v < outcome.visited.size(); ++v) {
-        for (size_t mi = 0; mi < num_metrics; ++mi) {
-          for (int vec : outcome.found[v][mi]) {
-            if (vec < m && result.observables[mi][vec] < 0) {
-              observed_here[mi][static_cast<size_t>(vec)] = 1;
-            }
-          }
-        }
-      }
-      for (size_t mi = 0; mi < num_metrics; ++mi) {
-        for (int v = 0; v < m; ++v) {
-          if (result.observables[mi][v] < 0 && !observed_here[mi][v]) {
-            result.observables[mi][v] = r;
-            --total_open;
-          }
-        }
-      }
-    }
-    // Bitmaps saturated through the last position.
-    for (auto& observed : result.observables) {
-      for (int& v : observed) {
-        if (v < 0) v = mapping.MaxBit() + 1;
-      }
-    }
-    result.estimates.reserve(num_metrics);
-    for (const auto& observed : result.observables) {
-      result.estimates.push_back(PcsaEstimateFromM(observed));
-    }
-  }
-
-  MaybeAudit();
-  if (span.active()) {
-    span.Arg(TraceArg::Bool("gave_up", result.gave_up));
-  }
-  FinishOp(span, kOpCount, result.cost, /*ok=*/true);
-  return result;
-}
-
-void DhsFrontDoor::StoreFrontier(uint64_t metric_id,
-                                 const std::vector<int>& observables) {
-  auto it = frontier_.find(metric_id);
-  if (it != frontier_.end()) {
-    it->second = observables;
-    return;
-  }
-  if (client_.config().frontier_max_entries > 0 &&
-      frontier_.size() >=
-          static_cast<size_t>(client_.config().frontier_max_entries)) {
-    frontier_.erase(frontier_.begin());
-  }
-  frontier_.emplace(metric_id, observables);
+  return client_.CountMany(origin_node, metric_ids, rng, options);
 }
 
 StatusOr<DhsCountResult> DhsFrontDoor::Count(uint64_t origin_node,
                                              uint64_t metric_id, Rng& rng) {
-  auto many = CountMany(origin_node, {metric_id}, rng);
-  if (!many.ok()) return many.status();
-  DhsCountResult result;
-  result.estimate = many->estimates[0];
-  result.observables = std::move(many->observables[0]);
-  result.gave_up = many->gave_up;
-  result.bitmaps_unresolved = many->bitmaps_unresolved;
-  result.cost = many->cost;
-  return result;
+  return SingleCountResult(CountMany(origin_node, {metric_id}, rng));
 }
 
 }  // namespace dhs

@@ -1,31 +1,28 @@
-// Sharded DHS front door: the batch entry point that drives the
-// sharded engine (dht/shard.h) with DHS semantics — bulk insertion
-// (§3.2) and multi-metric counting (§4, Alg. 1) expressed as ShardOp
-// batches instead of sequential client calls.
+// Sharded DHS front door: bulk insertion (§3.2) expressed as ShardOp
+// batches for the sharded engine (dht/shard.h), plus counting through
+// the sequential client.
 //
-// The front door owns a DhsClient purely for its validated config,
-// bit mapping, item placement and audit logic; all network traffic
-// goes through ShardedNetwork::ExecuteBatch. Outcome accounting maps
-// 1:1 onto DhsCostReport (the engine mirrors the client's charging
-// rules), and each root operation is wrapped in the same root span
-// ("insert_batch" / "count") with the same cost annotations, so the
-// tracer's root-span reconciliation invariant holds unchanged.
+// The front door owns a DhsClient on the engine's network. Inserts
+// compile to kPut ops and run through ShardedNetwork::ExecuteBatch;
+// outcome accounting maps 1:1 onto DhsCostReport (the engine mirrors
+// the client's charging rules). Each batch runs under an
+// "insert_batch" root span that the client's FinishOp closes out with
+// the client's cost annotations and op metrics, so the tracer's
+// root-span reconciliation invariant holds unchanged.
 //
-// Observable equivalence: for a fixed seed the sharded path produces
-// identical estimates and observables at any shard count (pinned by
-// tests/dht/shard_test.cc). Relative to the *sequential* client the
-// observables agree but costs may differ: counting walks probe the
-// full candidate list instead of stopping at done() (the skipped
-// probes cannot change max-rho or leftmost-zero observables), every
-// bit interval of a count is swept (the sequential scan stops once all
-// bitmaps resolve), and RNG draw order differs. DESIGN.md ("Sharding
-// model") discusses the trade.
+// Counts are the client's Alg. 1, run between batches: a front-door
+// count pays exactly the sequential client's cost (early exit, frontier
+// cache, retry_backoff_ticks and all), and for a fixed seed its result
+// equals a plain DhsClient's field for field (pinned by
+// tests/dht/shard_test.cc). Two divergences from the sequential client
+// remain (DESIGN.md "Sharding model"): engine inserts do not advance
+// the virtual clock on retry, and crash faults are rejected — by the
+// engine for inserts, and by CountMany for counts.
 
 #ifndef DHS_DHS_FRONT_DOOR_H_
 #define DHS_DHS_FRONT_DOOR_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/random.h"
@@ -61,10 +58,10 @@ class DhsFrontDoor {
   static StatusOr<DhsFrontDoor> Create(ShardedNetwork* engine,
                                        const DhsConfig& config);
 
-  const DhsConfig& config() const { return client_.config(); }
-  const BitMapping& mapping() const { return client_.mapping(); }
   ShardedNetwork* engine() const { return engine_; }
   DhtNetwork* network() const { return engine_->network(); }
+  /// The client counts run through (and whose frontier cache they use).
+  DhsClient* client() { return &client_; }
 
   /// Bulk insertion (§3.2): groups items by bit position and issues one
   /// kPut per group as a single engine batch. Degradation semantics
@@ -93,14 +90,9 @@ class DhsFrontDoor {
                                           size_t num_outcomes,
                                           DhsCostReport* cost);
 
-  /// Multi-metric count (§4.2): issues one kProbe per bit interval —
-  /// all intervals in a single engine batch — and reconstructs the
-  /// observables from the probe results in scan order (high -> low for
-  /// sLL/HLL, low -> high for PCSA), with the same first-hit /
-  /// leftmost-zero and degradation rules as the sequential client.
-  /// With config.frontier_cache set, sLL/HLL sweeps start at the
-  /// metric-set's cached frontier (the client's cache semantics,
-  /// extended to the sharded path).
+  /// Multi-metric count (§4.2): DhsClient::CountMany on the engine's
+  /// network. Fails InvalidArgument, without sending anything, when the
+  /// active fault plan has crash_probability > 0 (the engine's rule).
   [[nodiscard]] StatusOr<DhsClient::MultiCountResult> CountMany(
       uint64_t origin_node, const std::vector<uint64_t>& metric_ids,
       Rng& rng);
@@ -112,64 +104,21 @@ class DhsFrontDoor {
   [[nodiscard]] StatusOr<DhsCountResult> Count(uint64_t origin_node,
                                                uint64_t metric_id, Rng& rng);
 
-  /// Frontier-cache invalidation and introspection, mirroring
-  /// DhsClient (see client.h InvalidateFrontier on when signalling is
-  /// required).
-  void InvalidateFrontier(uint64_t metric_id) { frontier_.erase(metric_id); }
-  void InvalidateAllFrontiers() { frontier_.clear(); }
-  size_t FrontierEntries() const { return frontier_.size(); }
+  /// The client's frontier cache (see client.h InvalidateFrontier on
+  /// when signalling is required).
+  void InvalidateFrontier(uint64_t metric_id) {
+    client_.InvalidateFrontier(metric_id);
+  }
   bool HasFrontier(uint64_t metric_id) const {
-    return frontier_.count(metric_id) > 0;
+    return client_.HasFrontier(metric_id);
   }
 
  private:
   DhsFrontDoor(ShardedNetwork* engine, DhsClient client)
       : engine_(engine), client_(std::move(client)) {}
 
-  /// Probe budget for bit r (the client's LimForBit: flat lim or the
-  /// options override, or the eq. 6 adaptive value).
-  int LimForBit(int bit, const DhsCountOptions& options) const;
-
-  /// Builds the kProbe op for bit r (shared by both scan directions).
-  ShardOp MakeProbeOp(uint64_t origin, int bit,
-                      const std::vector<uint64_t>& metric_ids,
-                      const IdInterval& interval,
-                      const DhsCountOptions& options, Rng& rng) const;
-
-  /// Caches `observables` as `metric_id`'s frontier under the
-  /// config frontier_max_entries bound (the client's eviction rule).
-  void StoreFrontier(uint64_t metric_id, const std::vector<int>& observables);
-
-  void MaybeAudit() const;
-
-  /// Root-span + metrics close-out, mirroring DhsClient::FinishOp
-  /// (same instrument names and labels, ops "insert_batch" / "count").
-  enum OpIndex { kOpInsertBatch = 0, kOpCount, kNumOps };
-  struct OpMetrics {
-    Counter* ops = nullptr;
-    Counter* errors = nullptr;
-    Histogram* hops = nullptr;
-    Histogram* bytes = nullptr;
-    Counter* retries = nullptr;
-    Counter* failed_probes = nullptr;
-  };
-  const OpMetrics* MetricsFor(OpIndex op);
-  void FinishOp(ScopedSpan& span, OpIndex op, const DhsCostReport& cost,
-                bool ok);
-
   ShardedNetwork* engine_;
   DhsClient client_;
-  MetricsRegistry* metrics_cached_ = nullptr;
-  OpMetrics op_metrics_[kNumOps];
-
-  /// Frontier cache (config.frontier_cache, sLL/HLL only): the
-  /// client's cache semantics on the sharded path — raw observables of
-  /// the last complete count per metric, invalidated by every
-  /// InsertBatch/CompileInsertBatch through this front door, never
-  /// written by a degraded count.
-  std::map<uint64_t, std::vector<int>> frontier_;
-  Counter* m_frontier_hits_ = nullptr;    // interned with op metrics
-  Counter* m_frontier_misses_ = nullptr;
 };
 
 }  // namespace dhs

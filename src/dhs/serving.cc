@@ -60,7 +60,7 @@ StatusOr<DhsServing> DhsServing::Create(DhsFrontDoor* front_door,
   }
   Status s = config.Validate();
   if (!s.ok()) return s;
-  return DhsServing(front_door, nullptr, config);
+  return DhsServing(front_door, front_door->client(), config);
 }
 
 StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
@@ -79,15 +79,10 @@ DhsServing::DhsServing(DhsFrontDoor* door, DhsClient* client,
       client_(client),
       config_(config),
       tune_lim_(config.tune_lim),
-      tuner_(/*initial=*/(door != nullptr ? door->config() : client->config())
-                 .lim,
-             config.tuner_floor,
+      tuner_(/*initial=*/client->config().lim, config.tuner_floor,
              /*ceiling=*/config.tuner_ceiling > 0
                  ? std::max(config.tuner_ceiling, config.tuner_floor)
-                 : std::max((door != nullptr ? door->config()
-                                             : client->config())
-                                .max_lim,
-                            config.tuner_floor),
+                 : std::max(client->config().max_lim, config.tuner_floor),
              config.tuner_gain) {}
 
 void DhsServing::MaybeAttachMetrics() {
@@ -300,7 +295,7 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
     // re-establishes them from a full sweep. Logged so replay mirrors
     // the cache state transition.
     for (uint64_t metric_id : head.metric_ids) {
-      BackendInvalidate(metric_id);
+      client_->InvalidateFrontier(metric_id);
       ++stats_.invalidations;
       ServingWave wave;
       wave.kind = ServingWave::kInvalidate;
@@ -321,8 +316,7 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
       max_estimate > 0.0 ? static_cast<uint64_t>(std::llround(max_estimate))
                          : 0;
   const DhsConfig& backend = config();
-  const BitMapping& mapping =
-      door_ != nullptr ? door_->mapping() : client_->mapping();
+  const BitMapping& mapping = client_->mapping();
   const double p_miss = config_.tuner_p_miss > 0.0
                             ? config_.tuner_p_miss
                             : 1.0 - backend.adaptive_confidence;
@@ -343,14 +337,6 @@ StatusOr<DhsClient::MultiCountResult> DhsServing::BackendCount(
   return door_ != nullptr
              ? door_->CountMany(origin, metric_ids, rng, options)
              : client_->CountMany(origin, metric_ids, rng, options);
-}
-
-void DhsServing::BackendInvalidate(uint64_t metric_id) {
-  if (door_ != nullptr) {
-    door_->InvalidateFrontier(metric_id);
-  } else {
-    client_->InvalidateFrontier(metric_id);
-  }
 }
 
 StatusOr<DhsClient::MultiCountResult> DhsServing::TakeCount(uint64_t ticket) {
@@ -375,15 +361,7 @@ StatusOr<DhsCostReport> DhsServing::TakeInsert(uint64_t ticket) {
 
 StatusOr<DhsCountResult> DhsServing::Count(uint64_t origin_node,
                                            uint64_t metric_id, Rng& rng) {
-  auto many = CountMany(origin_node, {metric_id}, rng);
-  if (!many.ok()) return many.status();
-  DhsCountResult result;
-  result.estimate = many->estimates[0];
-  result.observables = std::move(many->observables[0]);
-  result.gave_up = many->gave_up;
-  result.bitmaps_unresolved = many->bitmaps_unresolved;
-  result.cost = many->cost;
-  return result;
+  return SingleCountResult(CountMany(origin_node, {metric_id}, rng));
 }
 
 StatusOr<DhsClient::MultiCountResult> DhsServing::CountMany(
@@ -406,7 +384,7 @@ StatusOr<DhsCostReport> DhsServing::InsertBatch(
 
 void DhsServing::InvalidateMetric(uint64_t metric_id) {
   MaybeAttachMetrics();
-  BackendInvalidate(metric_id);
+  client_->InvalidateFrontier(metric_id);
   ++stats_.invalidations;
   ServingWave wave;
   wave.kind = ServingWave::kInvalidate;
@@ -419,11 +397,7 @@ void DhsServing::InvalidateMetric(uint64_t metric_id) {
 void DhsServing::InvalidateAll() {
   // Ops/test helper; NOT wave-logged (the replay contract covers
   // metric-granular invalidation only).
-  if (door_ != nullptr) {
-    door_->InvalidateAllFrontiers();
-  } else {
-    client_->InvalidateAllFrontiers();
-  }
+  client_->InvalidateAllFrontiers();
 }
 
 }  // namespace dhs

@@ -176,13 +176,9 @@ class DhsServing {
   void InvalidateMetric(uint64_t metric_id);
   void InvalidateAll();
 
-  const DhsConfig& config() const {
-    return door_ != nullptr ? door_->config() : client_->config();
-  }
+  const DhsConfig& config() const { return client_->config(); }
   const DhsServingConfig& serving_config() const { return config_; }
-  DhtNetwork* network() const {
-    return door_ != nullptr ? door_->network() : client_->network();
-  }
+  DhtNetwork* network() const { return client_->network(); }
   const ServingStats& stats() const { return stats_; }
 
   /// The replayable wave log (cleared by the caller between phases so
@@ -199,6 +195,8 @@ class DhsServing {
   size_t PendingInserts() const { return pending_inserts_.size(); }
 
  private:
+  /// `client` is never null: the front door's own client, or the
+  /// sequential backend.
   DhsServing(DhsFrontDoor* door, DhsClient* client,
              const DhsServingConfig& config);
 
@@ -223,13 +221,14 @@ class DhsServing {
   void ObserveCountWave(const PendingCount& head,
                         const DhsClient::MultiCountResult& result);
 
+  /// Counts through the front door when there is one (it keeps the
+  /// engine's crash-fault rule), else through the client.
   [[nodiscard]] StatusOr<DhsClient::MultiCountResult> BackendCount(
       uint64_t origin, const std::vector<uint64_t>& metric_ids, Rng& rng,
       const DhsCountOptions& options);
-  void BackendInvalidate(uint64_t metric_id);
 
-  DhsFrontDoor* door_;   // exactly one of door_ / client_ is set
-  DhsClient* client_;
+  DhsFrontDoor* door_;  // null for the sequential backend
+  DhsClient* client_;   // config, network, mapping and frontier cache
   DhsServingConfig config_;
   bool tune_lim_;
   LimTuner tuner_;

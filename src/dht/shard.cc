@@ -11,48 +11,33 @@
 namespace dhs {
 
 namespace {
-enum : uint8_t { kPhaseIssue = 0, kPhaseRoute = 1, kPhaseWalk = 2 };
 
 // Decodes an op's wire frame into its routed fields: the engine
 // executes what is on the wire, not what the caller typed next to it.
-// Non-routed knobs (interval, replication, queries, lim, response
-// sizing) have no wire representation and stay as given.
+// Non-routed knobs (interval, replication) have no wire representation
+// and stay as given.
 Status ApplyFrame(ShardOp& op) {
   auto parsed = ParseFrame(op.frame);
   if (!parsed.ok()) return parsed.status();
-  switch (parsed->type) {
-    case FrameType::kPut: {
-      if (op.kind != ShardOp::kPut) {
-        return Status::InvalidArgument("kPut frame on a non-put op");
-      }
-      auto put = DecodePut(op.frame);
-      if (!put.ok()) return put.status();
-      if (put->absolute_expiry) {
-        return Status::InvalidArgument(
-            "sharded puts take relative TTLs (the clock is frozen for "
-            "the whole batch, so absolute expiries cannot be anchored)");
-      }
-      op.key = put->dst_key;
-      op.payload_bytes = PutPayloadBytes(put->keys.size());
-      op.put_keys = std::move(put->keys);
-      op.ttl_ticks = put->expiry;
-      return Status::OK();
-    }
-    case FrameType::kProbeOpen: {
-      if (op.kind != ShardOp::kProbe) {
-        return Status::InvalidArgument("kProbeOpen frame on a non-probe op");
-      }
-      auto probe = DecodeProbeOpen(op.frame);
-      if (!probe.ok()) return probe.status();
-      op.key = probe->target_key;
-      op.payload_bytes = kProbeOpenPayloadBytes;
-      return Status::OK();
-    }
-    default:
-      return Status::InvalidArgument(
-          "only kPut and kProbeOpen frames route through the sharded "
-          "engine");
+  if (parsed->type != FrameType::kPut) {
+    return Status::InvalidArgument(
+        "only kPut frames route through the sharded engine");
   }
+  if (op.kind != ShardOp::kPut) {
+    return Status::InvalidArgument("kPut frame on a non-put op");
+  }
+  auto put = DecodePut(op.frame);
+  if (!put.ok()) return put.status();
+  if (put->absolute_expiry) {
+    return Status::InvalidArgument(
+        "sharded puts take relative TTLs (the clock is frozen for "
+        "the whole batch, so absolute expiries cannot be anchored)");
+  }
+  op.key = put->dst_key;
+  op.payload_bytes = PutPayloadBytes(put->keys.size());
+  op.put_keys = std::move(put->keys);
+  op.ttl_ticks = put->expiry;
+  return Status::OK();
 }
 }  // namespace
 
@@ -91,24 +76,21 @@ struct ShardedNetwork::OpEvent {
   }
 };
 
-/// One operation's routing/walk cursor. Exactly one token exists per
+/// One operation's routing cursor. Exactly one token exists per
 /// op, so the token holder owns the op's outcome and scratch state.
 struct ShardedNetwork::Token {
   uint32_t op = 0;
   uint32_t cur_idx = 0;    // ring index the token sits at
-  uint32_t walk_from = 0;  // ring index direct hops originate from
-  uint8_t phase = kPhaseIssue;
+  bool routing = false;    // lookup delivered, hopping toward the key
   int attempt = 0;         // lookup attempts already faulted
   int steps = 0;           // routing iterations completed (== hops)
   uint32_t fault_pos = 0;  // next draw of this op's fault stream
-  uint32_t walk_pos = 0;   // next candidate index (kPhaseWalk)
 };
 
 struct ShardedNetwork::OpState {
   bool done = false;
   bool reached = false;           // lookup delivered and routed
   std::vector<OpEvent> events;
-  std::vector<uint32_t> walk;     // candidate ring indices, walk order
   uint32_t effect_seq = 0;
 };
 
@@ -186,30 +168,6 @@ void ShardedNetwork::FinishLookupFailure(BatchCtx& ctx, Token& tok,
   (*ctx.st)[tok.op].done = true;
 }
 
-void ShardedNetwork::VisitProbeNode(BatchCtx& ctx, const Token& tok,
-                                    size_t node_idx) {
-  const ShardOp& op = (*ctx.ops)[tok.op];
-  ShardOpOutcome& o = (*ctx.out)[tok.op];
-  NodeLoad& load = net_->loads_[node_idx];
-  const uint64_t node_id = net_->ring_[node_idx];
-  const NodeStore& store = net_->nodes_.at(node_id);
-  o.visited.push_back(node_id);
-  std::vector<std::vector<int>> per_query;
-  per_query.reserve(op.queries.size());
-  for (const auto& [metric_id, bit] : op.queries) {
-    load.probes += 1;
-    std::vector<int> vectors;
-    store.ForEachDhs(metric_id, bit, net_->now_,
-                     [&vectors](const StoreKey& key, const StoreRecord&) {
-                       vectors.push_back(key.vector_id());
-                     });
-    o.delta.bytes +=
-        op.response_base_bytes + op.response_per_record_bytes * vectors.size();
-    per_query.push_back(std::move(vectors));
-  }
-  o.found.push_back(std::move(per_query));
-}
-
 void ShardedNetwork::TerminalPut(BatchCtx& ctx, int shard, Token& tok) {
   const ShardOp& op = (*ctx.ops)[tok.op];
   ShardOpOutcome& o = (*ctx.out)[tok.op];
@@ -272,7 +230,7 @@ void ShardedNetwork::StepToken(BatchCtx& ctx, int shard, Token tok) {
   const std::vector<uint64_t>& ring = net_->ring_;
   const uint64_t key = net_->space_.Clamp(op.key);
 
-  if (tok.phase == kPhaseIssue) {
+  if (!tok.routing) {
     // Lookup attempts. A fault hits the request as issued — one
     // message charged, no hops — and a self-delivered request (origin
     // already responsible) is downgraded to delivery, both exactly as
@@ -303,110 +261,42 @@ void ShardedNetwork::StepToken(BatchCtx& ctx, int shard, Token tok) {
       }
       break;  // delivered
     }
-    tok.phase = kPhaseRoute;
+    tok.routing = true;
   }
 
-  if (tok.phase == kPhaseRoute) {
-    for (;;) {
-      if (tok.steps > net_->config_.max_route_hops) {
-        o.status = Status::Internal("routing did not converge (cycle?)");
-        s.done = true;
-        return;
-      }
-      const size_t cur = tok.cur_idx;
-      const size_t next = net_->NextHopIndex(cur, ring[cur], key);
-      if (next == cur) {
-        // Terminal: the responsible node serves the request.
-        net_->loads_[cur].served += 1;
-        o.node = ring[cur];
-        o.lookup_hops = tok.steps;
-        s.reached = true;
-        if (op.kind == ShardOp::kLookup) {
-          s.done = true;
-          return;
-        }
-        if (op.kind == ShardOp::kPut) {
-          TerminalPut(ctx, shard, tok);
-          s.done = true;
-          return;
-        }
-        // kProbe: read the responsible node, then walk the overlay's
-        // candidate holders in full (no done() early exit — the
-        // observables cannot change, only the probe cost; see shard.h).
-        VisitProbeNode(ctx, tok, cur);
-        const std::vector<uint64_t> candidates =
-            net_->ProbeCandidates(op.interval, key, ring[cur], op.lim - 1);
-        s.walk.reserve(candidates.size());
-        for (uint64_t candidate : candidates) {
-          s.walk.push_back(
-              static_cast<uint32_t>(net_->RingIndexOf(candidate)));
-        }
-        tok.phase = kPhaseWalk;
-        tok.walk_from = static_cast<uint32_t>(cur);
-        break;
-      }
-      s.events.push_back(OpEvent::Hop(ring[cur], ring[next]));
-      net_->loads_[cur].routed += 1;
-      tok.steps += 1;
-      o.delta.hops += 1;
-      o.delta.bytes += op.payload_bytes;
-      tok.cur_idx = static_cast<uint32_t>(next);
-      const int owner = net_->shard_plan_.ShardOf(ring[next]);
-      if (owner != shard) {
-        ctx.outbox[static_cast<size_t>(shard)][static_cast<size_t>(owner)]
-            .push_back(tok);
-        return;
-      }
+  // Hop toward the responsible node, leaving the shard whenever the
+  // next hop belongs to another one.
+  for (;;) {
+    if (tok.steps > net_->config_.max_route_hops) {
+      o.status = Status::Internal("routing did not converge (cycle?)");
+      s.done = true;
+      return;
     }
-  }
-
-  // kPhaseWalk: each candidate is probed at its owning shard (the
-  // direct-hop fault draws are pure, so any holder can draw them).
-  while (tok.walk_pos < s.walk.size()) {
-    const size_t next_idx = s.walk[tok.walk_pos];
-    const uint64_t next_id = ring[next_idx];
-    const int owner = net_->shard_plan_.ShardOf(next_id);
+    const size_t cur = tok.cur_idx;
+    const size_t next = net_->NextHopIndex(cur, ring[cur], key);
+    if (next == cur) {
+      // Terminal: the responsible node serves the request.
+      net_->loads_[cur].served += 1;
+      o.node = ring[cur];
+      o.lookup_hops = tok.steps;
+      s.reached = true;
+      if (op.kind == ShardOp::kPut) TerminalPut(ctx, shard, tok);
+      s.done = true;
+      return;
+    }
+    s.events.push_back(OpEvent::Hop(ring[cur], ring[next]));
+    net_->loads_[cur].routed += 1;
+    tok.steps += 1;
+    o.delta.hops += 1;
+    o.delta.bytes += op.payload_bytes;
+    tok.cur_idx = static_cast<uint32_t>(next);
+    const int owner = net_->shard_plan_.ShardOf(ring[next]);
     if (owner != shard) {
       ctx.outbox[static_cast<size_t>(shard)][static_cast<size_t>(owner)]
           .push_back(tok);
       return;
     }
-    tok.walk_pos += 1;
-    const uint64_t from_id = ring[tok.walk_from];
-    bool delivered = false;
-    for (int attempt = 0;; ++attempt) {
-      o.delta.messages += 1;
-      o.direct_issued += 1;
-      const FaultType f =
-          ctx.faults ? FaultPlan::DecisionFor(
-                           ctx.fcfg, OpFaultSeq(ctx.ordinal_base + tok.op,
-                                                tok.fault_pos++))
-                     : FaultType::kNone;
-      if (f != FaultType::kNone && next_id != from_id) {
-        s.events.push_back(OpEvent::Fault(f, from_id, next_id));
-        if (attempt + 1 >= retry_attempts_) break;
-        o.retries += 1;
-        s.events.push_back(OpEvent::Retry("direct_hop", attempt + 1));
-        continue;
-      }
-      delivered = true;
-      break;
-    }
-    if (!delivered) {
-      // Unreachable candidate: skip it and walk on from the last node
-      // reached (sequential ProbeInterval).
-      o.failed_candidates += 1;
-      continue;
-    }
-    if (next_id != from_id) {
-      o.delta.hops += 1;
-      o.delta.bytes += op.payload_bytes;
-      net_->loads_[next_idx].served += 1;
-    }
-    VisitProbeNode(ctx, tok, next_idx);
-    tok.walk_from = static_cast<uint32_t>(next_idx);
   }
-  s.done = true;
 }
 
 void ShardedNetwork::CommitEffects(BatchCtx& ctx) {
@@ -451,7 +341,7 @@ void ShardedNetwork::CommitEffects(BatchCtx& ctx) {
 void ShardedNetwork::ReplayObservability(BatchCtx& ctx) {
   Tracer* tracer = net_->tracer_;
   const bool tracing = tracer != nullptr && tracer->enabled();
-  static const char* const kSpanNames[] = {"lookup", "put", "probe"};
+  static const char* const kSpanNames[] = {"lookup", "put"};
   for (size_t i = 0; i < ctx.ops->size(); ++i) {
     const ShardOp& op = (*ctx.ops)[i];
     ShardOpOutcome& o = (*ctx.out)[i];

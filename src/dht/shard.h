@@ -36,12 +36,12 @@
 //     with its exact stats delta, preserving the tracer/metrics
 //     reconciliation invariant.
 //
-// Semantics relative to the sequential client path (documented in
-// DESIGN.md): counting walks always probe the full candidate list (no
-// early exit — for sLL/HLL/PCSA observables the skipped probes cannot
-// change the result, only the probe cost), retries do not advance the
-// virtual clock (retry_backoff_ticks is a sequential-only knob), and
-// batches are atomic with respect to expiry (the clock is frozen).
+// The engine executes routed lookups and §3.5 puts only; counting runs
+// the sequential client's Alg. 1 between batches (dhs/front_door.h).
+// Two divergences from the sequential client's insert path remain
+// (DESIGN.md "Sharding model"): engine retries do not advance the
+// virtual clock (batches are atomic with respect to expiry — the clock
+// is frozen), and crash faults are rejected.
 
 #ifndef DHS_DHT_SHARD_H_
 #define DHS_DHT_SHARD_H_
@@ -49,7 +49,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -70,26 +69,22 @@ struct ShardOp {
     kLookup = 0,  // route origin -> responsible(key)
     kPut,         // route, then store put_keys at the responsible node
                   // and its replicas (§3.5 placement)
-    kProbe,       // route, then walk candidate holders reading DHS
-                  // records (Alg. 1's counting probe)
   };
 
   Kind kind = kLookup;
   uint64_t origin = 0;
   uint64_t key = 0;
-  /// Optional encoded wire frame (dht/wire.h). When non-empty,
+  /// Optional encoded kPut wire frame (dht/wire.h). When non-empty,
   /// ExecuteBatch decodes it and overwrites the routed fields — key,
-  /// payload_bytes, and for kPut the put_keys/ttl_ticks — so the engine
-  /// executes exactly what is on the wire (kPut frames for kPut ops,
-  /// kProbeOpen frames for kProbe ops). An undecodable frame fails the
-  /// op with the decoder's status; field-built ops (empty frame) keep
+  /// payload_bytes, put_keys and ttl_ticks — so the engine executes
+  /// exactly what is on the wire. An undecodable frame fails the op
+  /// with the decoder's status; field-built ops (empty frame) keep
   /// working unchanged.
   std::string frame;
-  /// Routed payload: charged per routing hop and per direct hop
-  /// (tuple bytes for kPut, probe-request bytes for kProbe).
+  /// Routed payload (kPut tuple bytes): charged per routing hop and per
+  /// replica hop.
   size_t payload_bytes = 0;
-  /// Interval the key was drawn from (kPut: replica placement;
-  /// kProbe: candidate enumeration).
+  /// Interval the key was drawn from (kPut replica placement).
   IdInterval interval;
 
   // kPut only.
@@ -98,12 +93,6 @@ struct ShardOp {
   int replication = 1;              // total copies wanted (>= 1)
   int replica_slack = 2;            // extra candidates enumerated so
                                     // unreachable replicas fall through
-
-  // kProbe only.
-  std::vector<std::pair<uint64_t, int>> queries;  // (metric_id, bit)
-  int lim = 1;                          // max nodes visited (>= 1)
-  size_t response_base_bytes = 0;       // response framing bytes
-  size_t response_per_record_bytes = 0; // per reported vector id
 };
 
 /// Per-operation outcome. The counters mirror the sequential client's
@@ -121,10 +110,6 @@ struct ShardOpOutcome {
   int retries = 0;               // re-issues after transient faults
   int failed_candidates = 0;     // replicas/candidates skipped
   int replicas_written = 0;      // kPut: copies stored (incl. primary)
-  std::vector<uint64_t> visited; // kProbe: nodes read, in walk order
-  /// kProbe: found[v][q] = vector ids reported by visited[v] for
-  /// queries[q], in store iteration order.
-  std::vector<std::vector<std::vector<int>>> found;
 };
 
 /// Drives one DhtNetwork with a ShardPool. Between batches the engine
@@ -209,7 +194,6 @@ class ShardedNetwork {
   void StepToken(BatchCtx& ctx, int shard, Token tok);
   void FinishLookupFailure(BatchCtx& ctx, Token& tok, FaultType last);
   void TerminalPut(BatchCtx& ctx, int shard, Token& tok);
-  void VisitProbeNode(BatchCtx& ctx, const Token& tok, size_t node_idx);
   void CommitEffects(BatchCtx& ctx);
   void ReplayObservability(BatchCtx& ctx);
 

@@ -125,7 +125,7 @@ StatusOr<uint64_t> RoutedDstKey(std::string_view wire);
 // the walk then forwards it along ProbeCandidates. Deliberately carries
 // no metric list: per-metric reads are separate kMetricQuery exchanges,
 // which is how a multi-metric count stays at ProbeRequestBytes()==12
-// per hop (front_door.cc "one walk, many queries").
+// per hop (one walk, many queries).
 
 struct ProbeOpenFrame {
   uint64_t target_key = 0;

@@ -850,7 +850,9 @@ void RunRandomScheduleEquivalence(DhsEstimator estimator, uint64_t seed) {
 
   Rng serve_rng(seed ^ 0xf00d);
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    if (epoch == kFaultOnEpoch) ASSERT_TRUE(serving_net.SetFaultPlan(faults).ok());
+    if (epoch == kFaultOnEpoch) {
+      ASSERT_TRUE(serving_net.SetFaultPlan(faults).ok());
+    }
     if (epoch == kFaultOffEpoch) serving_net.ClearFaultPlan();
     const int requests = 3 + static_cast<int>(schedule.UniformU64(4));
     for (int r = 0; r < requests; ++r) {
@@ -885,7 +887,9 @@ void RunRandomScheduleEquivalence(DhsEstimator estimator, uint64_t seed) {
   const auto& log = serving->wave_log();
   size_t wave_index = 0;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    if (epoch == kFaultOnEpoch) ASSERT_TRUE(plain_net.SetFaultPlan(faults).ok());
+    if (epoch == kFaultOnEpoch) {
+      ASSERT_TRUE(plain_net.SetFaultPlan(faults).ok());
+    }
     if (epoch == kFaultOffEpoch) plain_net.ClearFaultPlan();
 
     // Group the epoch's count tickets exactly as the serving layer

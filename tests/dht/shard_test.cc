@@ -6,10 +6,14 @@
 // shards. The 1-shard engine runs inline on the calling thread, so the
 // multi-shard runs are compared against genuinely unthreaded execution.
 //
+// Front-door counts run the sequential client's Alg. 1, so on twin
+// worlds they return exactly what a plain DhsClient returns, cost
+// report included.
+//
 // The golden sharded trace lives next to the other goldens; regenerate
 // after an intentional change with:
 //
-//   DHS_REGEN_GOLDEN=1 ./build/tests/dht_test --gtest_filter='ShardGolden*'
+//   DHS_REGEN_GOLDEN=1 ./build/tests/shard_test --gtest_filter='ShardGolden*'
 
 #include "dht/shard.h"
 
@@ -20,6 +24,7 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -384,7 +389,130 @@ TEST(ShardFaultTest, CrashFaultsAreRejected) {
   auto outcomes = engine.ExecuteBatch(ops);
   ASSERT_FALSE(outcomes.ok());
   EXPECT_TRUE(outcomes.status().IsInvalidArgument());
+
+  // A front-door count is refused the same way, before it sends
+  // anything: no node crashes and no message is charged.
+  auto door = DhsFrontDoor::Create(&engine, ScenarioConfig());
+  ASSERT_TRUE(door.ok());
+  const std::vector<uint64_t> members = net.NodeIds();
+  const MessageStats before = net.stats();
+  auto count = door->CountMany(members[0], {7}, rng);
+  ASSERT_FALSE(count.ok());
+  EXPECT_TRUE(count.status().IsInvalidArgument());
+  EXPECT_EQ(net.NodeIds(), members);
+  EXPECT_EQ(net.stats().messages, before.messages);
+  EXPECT_EQ(net.stats().hops, before.hops);
+  EXPECT_EQ(net.stats().bytes, before.bytes);
 }
+
+/// Every field of a count result at full precision: two results render
+/// identically iff they are equal, DhsCostReport included.
+std::string DescribeCount(const DhsClient::MultiCountResult& result) {
+  std::ostringstream os;
+  for (double estimate : result.estimates) {
+    os << "estimate " << std::setprecision(17) << estimate << '\n';
+  }
+  for (const std::vector<int>& observables : result.observables) {
+    os << "obs";
+    for (int v : observables) os << ' ' << v;
+    os << '\n';
+  }
+  os << "gave_up " << result.gave_up << " unresolved "
+     << result.bitmaps_unresolved << '\n';
+  AppendCost(os, result.cost);
+  return os.str();
+}
+
+struct TwinCase {
+  std::string name;
+  bool kademlia;
+  DhsEstimator estimator;
+};
+
+// Keeps the listed test names stable (the default prints raw bytes).
+void PrintTo(const TwinCase& param, std::ostream* os) { *os << param.name; }
+
+class FrontDoorTwinTest : public ::testing::TestWithParam<TwinCase> {
+ protected:
+  /// A 64-node world holding two metrics, populated through a plain
+  /// client: two calls build identical worlds. Small batches from
+  /// random origins spread each bit's tuples over its interval (one
+  /// big batch would put them on one node each, which lim-3 probes
+  /// mostly miss).
+  static std::unique_ptr<DhtNetwork> MakeWorld(bool kademlia,
+                                               const DhsConfig& config) {
+    OverlayConfig overlay;
+    overlay.hasher = "mix";
+    std::unique_ptr<DhtNetwork> net;
+    if (kademlia) {
+      net = std::make_unique<KademliaNetwork>(overlay);
+    } else {
+      net = std::make_unique<ChordNetwork>(overlay);
+    }
+    Rng rng(0x7e1);
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 64; ++i) ids.push_back(rng.Next());
+    EXPECT_EQ(net->BulkAddNodes(std::move(ids)), 64u);
+    auto client = DhsClient::Create(net.get(), config);
+    EXPECT_TRUE(client.ok());
+    for (uint64_t metric : {uint64_t{1}, uint64_t{2}}) {
+      for (uint64_t batch = 0; batch < 40 * metric; ++batch) {
+        std::vector<uint64_t> items;
+        for (int i = 0; i < 8; ++i) items.push_back(rng.Next());
+        EXPECT_TRUE(
+            client->InsertBatch(net->RandomNode(rng), metric, items, rng).ok());
+      }
+    }
+    return net;
+  }
+};
+
+TEST_P(FrontDoorTwinTest, CountManyEqualsPlainClient) {
+  const TwinCase& param = GetParam();
+  DhsConfig config = ScenarioConfig();
+  config.m = 16;  // HyperLogLog's minimum
+  config.estimator = param.estimator;
+  config.frontier_cache = true;
+  std::unique_ptr<DhtNetwork> door_net = MakeWorld(param.kademlia, config);
+  std::unique_ptr<DhtNetwork> client_net = MakeWorld(param.kademlia, config);
+  ShardedNetwork engine(door_net.get(), 4);
+  auto door = DhsFrontDoor::Create(&engine, config);
+  ASSERT_TRUE(door.ok());
+  auto client = DhsClient::Create(client_net.get(), config);
+  ASSERT_TRUE(client.ok());
+
+  // Repeat counts: after the first, sLL/HLL scans start at the cached
+  // frontier.
+  const std::vector<uint64_t> metrics = {1, 2};
+  Rng door_rng(0xc0de);
+  Rng client_rng(0xc0de);
+  for (int round = 0; round < 3; ++round) {
+    auto via_door =
+        door->CountMany(door_net->RandomNode(door_rng), metrics, door_rng);
+    auto via_client = client->CountMany(client_net->RandomNode(client_rng),
+                                        metrics, client_rng);
+    ASSERT_TRUE(via_door.ok());
+    ASSERT_TRUE(via_client.ok());
+    EXPECT_EQ(DescribeCount(*via_door), DescribeCount(*via_client))
+        << "round " << round;
+  }
+  EXPECT_EQ(door_rng.Next(), client_rng.Next()) << "RNG draws diverged";
+  EXPECT_EQ(door_net->stats().messages, client_net->stats().messages);
+  EXPECT_EQ(door_net->stats().bytes, client_net->stats().bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesAndEstimators, FrontDoorTwinTest,
+    ::testing::Values(
+        TwinCase{"ChordSll", false, DhsEstimator::kSuperLogLog},
+        TwinCase{"ChordPcsa", false, DhsEstimator::kPcsa},
+        TwinCase{"ChordHll", false, DhsEstimator::kHyperLogLog},
+        TwinCase{"KademliaSll", true, DhsEstimator::kSuperLogLog},
+        TwinCase{"KademliaPcsa", true, DhsEstimator::kPcsa},
+        TwinCase{"KademliaHll", true, DhsEstimator::kHyperLogLog}),
+    [](const ::testing::TestParamInfo<TwinCase>& param_info) {
+      return param_info.param.name;
+    });
 
 }  // namespace
 }  // namespace dhs

@@ -168,7 +168,9 @@ TEST(LoopbackIntegrationTest, FaultedRunMatchesSim) {
     auto result =
         world->client->Count(world->net.RandomNode(rng), kMetricQ, rng);
     // Faulted runs may degrade, but both backends must degrade alike.
-    if (result.ok()) EXPECT_GT(result->estimate, 0.0);
+    if (result.ok()) {
+      EXPECT_GT(result->estimate, 0.0);
+    }
   }
   const FaultStats& sim_fired = sim.net.fault_plan().stats();
   const FaultStats& loop_fired = loop.net.fault_plan().stats();
