@@ -51,8 +51,8 @@ int TrialThreads();
 void PrintRunnerFooter(int trials, int threads, double wall_seconds);
 
 /// Builds an N-node overlay with MixHasher-derived node IDs (MD4 gives
-/// identical distributions but is ~20x slower; pass hasher = "md4" to use
-/// the paper's exact hash).
+/// identical distributions but costs ~20x the mixer per ID in
+/// bench_sketch; pass hasher = "md4" to use the paper's exact hash).
 std::unique_ptr<ChordNetwork> MakeNetwork(int nodes, uint64_t seed,
                                           const std::string& hasher = "mix");
 

@@ -7,7 +7,7 @@
 // is the one sanctioned home for them; the determinism linter
 // (tools/lint) enforces it for the rest of the tree.
 //
-// Cost model: the held stack is a thread_local vector push/pop per
+// Cost model: the held stack is a thread_local array push/pop per
 // acquisition, and the contention counters are relaxed atomic adds.
 // Only acquisitions taken while the thread ALREADY holds another mutex
 // touch the global graph (one std::mutex-guarded map update plus a
@@ -52,12 +52,22 @@ struct Held {
   Site site;
 };
 
-/// The held stack must survive use during thread_local destruction
-/// (detached worker teardown can release locks late), so it is a plain
-/// pointer to a leaked vector rather than a vector with a destructor.
-std::vector<Held>& HeldStack() {
-  thread_local std::vector<Held>* stack = new std::vector<Held>();
-  return *stack;
+/// The locks this thread holds, in acquisition order. It must survive
+/// use during thread_local destruction (detached worker teardown can
+/// release locks late), so it is a fixed-capacity array with no heap
+/// storage and no destructor.
+struct HeldLocks {
+  static constexpr int kCapacity = 16;
+  Held entries[kCapacity];
+  int size = 0;
+
+  const Held* begin() const { return entries; }
+  const Held* end() const { return entries + size; }
+};
+
+HeldLocks& HeldStack() {
+  thread_local HeldLocks stack;
+  return stack;
 }
 
 /// An observed acquisition ordering: `holder` was held at holder_site
@@ -120,7 +130,7 @@ void FireDeadlockReport(const Site& site, const std::string& message) {
 }  // namespace
 
 void PreAcquire(const Mutex* mu, const std::source_location& loc) {
-  const std::vector<Held>& held = HeldStack();
+  const HeldLocks& held = HeldStack();
   // Self-deadlock: a non-recursive mutex re-acquired by its holder
   // would block forever, so report before touching the native lock.
   for (const Held& h : held) {
@@ -134,7 +144,7 @@ void PreAcquire(const Mutex* mu, const std::source_location& loc) {
     return;  // unreachable unless the handler misbehaves
   }
   Registry& registry = GetRegistry();
-  if (held.empty() ||
+  if (held.size == 0 ||
       !registry.detector_enabled.load(std::memory_order_relaxed)) {
     return;
   }
@@ -183,7 +193,10 @@ void PreAcquire(const Mutex* mu, const std::source_location& loc) {
 }
 
 void PostAcquire(const Mutex* mu, const std::source_location& loc) {
-  HeldStack().push_back(Held{mu, MakeSite(loc)});
+  HeldLocks& held = HeldStack();
+  CHECK_LT(held.size, HeldLocks::kCapacity)
+      << "too many dhs::Mutex locks held by one thread";
+  held.entries[held.size++] = Held{mu, MakeSite(loc)};
   // First acquisition registers the mutex with the profile registry, so
   // SnapshotMutexProfiles() covers live leaf mutexes too (not just ones
   // that formed an ordering edge or were already destroyed). One-time
@@ -196,14 +209,15 @@ void PostAcquire(const Mutex* mu, const std::source_location& loc) {
 }
 
 void PreRelease(const Mutex* mu) {
-  std::vector<Held>& held = HeldStack();
+  HeldLocks& held = HeldStack();
   // Unlock order need not be LIFO (manual Lock/Unlock pairs), so drop
   // the most recent matching entry.
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    if (it->mu == mu) {
-      held.erase(std::next(it).base());
-      return;
-    }
+  for (int i = held.size - 1; i >= 0; --i) {
+    if (held.entries[i].mu != mu) continue;
+    std::copy(held.entries + i + 1, held.entries + held.size,
+              held.entries + i);
+    --held.size;
+    return;
   }
   // Unlocking a mutex this thread never locked is a usage bug severe
   // enough to flag unconditionally.
@@ -213,7 +227,7 @@ void PreRelease(const Mutex* mu) {
 }
 
 bool HeldByThisThread(const Mutex* mu) {
-  const std::vector<Held>& held = HeldStack();
+  const HeldLocks& held = HeldStack();
   return std::any_of(held.begin(), held.end(),
                      [mu](const Held& h) { return h.mu == mu; });
 }

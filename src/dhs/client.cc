@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "common/bit_util.h"
@@ -309,30 +307,24 @@ StatusOr<DhsCostReport> DhsClient::InsertBatch(
     span.Arg(TraceArg::U64("items", item_hashes.size()));
   }
   if (config_.frontier_cache) frontier_.erase(metric_id);
-  // §3.2 bulk insertion: group by bit position r; one message per r
-  // carries all (deduplicated) vector updates for that position.
-  std::map<int, std::set<int>> by_bit;
-  for (uint64_t hash : item_hashes) {
-    const DhsPlacement placement = PlaceItem(hash);
-    if (placement.rho < config_.shift_bits) continue;
-    by_bit[placement.rho].insert(placement.vector_id);
-  }
+  // §3.2 bulk insertion: one message per bit position r carries all
+  // (deduplicated) vector updates for that position.
   DhsCostReport cost;
   Status first_failure = Status::OK();
-  for (const auto& [bit, vectors] : by_bit) {
-    std::vector<int> vector_ids(vectors.begin(), vectors.end());
-    Status s = StoreTuple(origin_node, metric_id, bit, vector_ids, rng,
-                          &cost);
-    if (!s.ok()) {
-      // A failed primary write degrades this group only; the remaining
-      // groups still store (no silent drop of the batch's tail).
-      cost.bit_groups_failed += 1;
-      if (first_failure.ok()) first_failure = s;
-    }
-  }
+  const int groups = ForEachBitGroup(
+      item_hashes, [&](int bit, const std::vector<int>& vector_ids) {
+        Status s = StoreTuple(origin_node, metric_id, bit, vector_ids, rng,
+                              &cost);
+        if (!s.ok()) {
+          // A failed primary write degrades this group only; the
+          // remaining groups still store (no silent drop of the tail).
+          cost.bit_groups_failed += 1;
+          if (first_failure.ok()) first_failure = s;
+        }
+      });
   MaybeAudit();
-  const bool all_failed = !first_failure.ok() &&
-      cost.bit_groups_failed == static_cast<int>(by_bit.size());
+  const bool all_failed =
+      !first_failure.ok() && cost.bit_groups_failed == groups;
   FinishOp(span, kOpInsertBatch, cost, !all_failed);
   if (all_failed) {
     return first_failure;  // nothing was stored

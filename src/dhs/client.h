@@ -9,6 +9,7 @@
 #ifndef DHS_DHS_CLIENT_H_
 #define DHS_DHS_CLIENT_H_
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -144,6 +145,15 @@ class DhsClient {
   [[nodiscard]] StatusOr<DhsCostReport> Insert(uint64_t origin_node,
                                                uint64_t metric_id,
                                                uint64_t item_hash, Rng& rng);
+
+  /// §3.2 bulk-insert grouping: calls fn(bit, vector_ids) once for each
+  /// bit position r >= shift_bits that some item maps to, in ascending r,
+  /// with r's distinct vector ids in ascending order (the order RNG draws
+  /// and frames follow). Returns the number of groups. Sets bits in one
+  /// m-bit mask per r, up to the batch's highest r, so a call costs
+  /// O(items + (highest r + 1) * m / 64).
+  template <typename Fn>
+  int ForEachBitGroup(const std::vector<uint64_t>& item_hashes, Fn&& fn);
 
   /// Bulk insertion (§3.2): groups items by bit position and contacts one
   /// random target per bit, so a node records any number of items with at
@@ -319,6 +329,38 @@ class DhsClient {
   Counter* m_frontier_hits_ = nullptr;    // interned with op metrics
   Counter* m_frontier_misses_ = nullptr;
 };
+
+template <typename Fn>
+int DhsClient::ForEachBitGroup(const std::vector<uint64_t>& item_hashes,
+                               Fn&& fn) {
+  const size_t words = (static_cast<size_t>(config_.m) + 63) / 64;
+  // Row r holds r's vector ids; rows exist up to the highest r seen.
+  std::vector<uint64_t> mask;
+  for (uint64_t hash : item_hashes) {
+    const DhsPlacement placement = PlaceItem(hash);
+    if (placement.rho < config_.shift_bits) continue;
+    const size_t row = static_cast<size_t>(placement.rho) * words;
+    if (mask.size() <= row) mask.resize(row + words);
+    const auto v = static_cast<size_t>(placement.vector_id);
+    mask[row + v / 64] |= uint64_t{1} << (v % 64);
+  }
+  int groups = 0;
+  std::vector<int> ids;
+  for (int bit = config_.shift_bits;
+       static_cast<size_t>(bit) * words < mask.size(); ++bit) {
+    ids.clear();
+    const uint64_t* row = mask.data() + static_cast<size_t>(bit) * words;
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t set = row[w]; set != 0; set &= set - 1) {
+        ids.push_back(static_cast<int>(64 * w) + std::countr_zero(set));
+      }
+    }
+    if (ids.empty()) continue;
+    ++groups;
+    fn(bit, ids);
+  }
+  return groups;
+}
 
 /// The single-metric view of a one-metric CountMany result (the Count
 /// convenience of every count endpoint).

@@ -1,8 +1,7 @@
 #include "dhs/front_door.h"
 
-#include <map>
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "dht/fault.h"
@@ -54,49 +53,41 @@ StatusOr<CompiledInsertBatch> DhsFrontDoor::CompileInsertBatch(
 
   // §3.2 bulk insertion: one kPut per bit position carrying that
   // position's deduplicated vector updates.
-  std::map<int, std::set<int>> by_bit;
-  for (uint64_t hash : item_hashes) {
-    const DhsPlacement placement = client_.PlaceItem(hash);
-    if (placement.rho < config.shift_bits) continue;
-    by_bit[placement.rho].insert(placement.vector_id);
-  }
-
   CompiledInsertBatch compiled;
-  compiled.groups_total = by_bit.size();
-  compiled.ops.reserve(by_bit.size());
-  for (const auto& [bit, vectors] : by_bit) {
-    auto interval = client_.mapping().IntervalForBit(bit);
-    if (!interval.ok()) {
-      compiled.cost.bit_groups_failed += 1;
-      if (compiled.first_failure.ok()) {
-        compiled.first_failure = interval.status();
-      }
-      continue;
-    }
-    ShardOp op;
-    op.kind = ShardOp::kPut;
-    op.origin = origin_node;
-    op.key = client_.mapping().RandomIdIn(*interval, rng);
-    op.interval = *interval;
-    op.payload_bytes = config.TupleBytes() * vectors.size();
-    op.put_keys.reserve(vectors.size());
-    for (int vector_id : vectors) {
-      op.put_keys.push_back(MakeDhsKey(metric_id, bit, vector_id));
-    }
-    op.ttl_ticks = config.ttl_ticks;
-    op.replication = config.replication;
-    op.replica_slack = kReplicaSlack;
-    // Hand the engine the encoded kPut frame; it re-derives the routed
-    // fields from the wire bytes (shard.h ShardOp::frame).
-    PutFrame put;
-    put.dst_key = op.key;
-    put.metric_id = metric_id;
-    put.expiry = config.ttl_ticks;
-    put.keys = op.put_keys;
-    op.frame = EncodePut(put);
-    compiled.ops.push_back(std::move(op));
-    compiled.cost.replicas_requested += config.replication;
-  }
+  compiled.groups_total = client_.ForEachBitGroup(
+      item_hashes, [&](int bit, const std::vector<int>& vectors) {
+        auto interval = client_.mapping().IntervalForBit(bit);
+        if (!interval.ok()) {
+          compiled.cost.bit_groups_failed += 1;
+          if (compiled.first_failure.ok()) {
+            compiled.first_failure = interval.status();
+          }
+          return;
+        }
+        ShardOp op;
+        op.kind = ShardOp::kPut;
+        op.origin = origin_node;
+        op.key = client_.mapping().RandomIdIn(*interval, rng);
+        op.interval = *interval;
+        op.payload_bytes = config.TupleBytes() * vectors.size();
+        op.put_keys.reserve(vectors.size());
+        for (int vector_id : vectors) {
+          op.put_keys.push_back(MakeDhsKey(metric_id, bit, vector_id));
+        }
+        op.ttl_ticks = config.ttl_ticks;
+        op.replication = config.replication;
+        op.replica_slack = kReplicaSlack;
+        // Hand the engine the encoded kPut frame; it re-derives the
+        // routed fields from the wire bytes (shard.h ShardOp::frame).
+        PutFrame put;
+        put.dst_key = op.key;
+        put.metric_id = metric_id;
+        put.expiry = config.ttl_ticks;
+        put.keys = op.put_keys;
+        op.frame = EncodePut(put);
+        compiled.ops.push_back(std::move(op));
+        compiled.cost.replicas_requested += config.replication;
+      });
   return compiled;
 }
 
@@ -118,7 +109,7 @@ Status DhsFrontDoor::FoldInsertOutcomes(const CompiledInsertBatch& compiled,
     }
   }
   const bool all_failed = !first_failure.ok() &&
-      cost->bit_groups_failed == static_cast<int>(compiled.groups_total);
+      cost->bit_groups_failed == compiled.groups_total;
   if (all_failed) return first_failure;  // nothing was stored
   return Status::OK();
 }

@@ -45,7 +45,7 @@ namespace dhs {
 /// the batches back to back (pinned by tests/dhs/serving_test.cc).
 struct CompiledInsertBatch {
   std::vector<ShardOp> ops;   // one kPut per bit group that compiled
-  size_t groups_total = 0;    // bit groups in the batch (ops + pre-failed)
+  int groups_total = 0;       // bit groups in the batch (ops + pre-failed)
   DhsCostReport cost;         // pre-execution accounting (replicas
                               // requested, compile-stage failures)
   Status first_failure;       // first compile-stage failure, if any

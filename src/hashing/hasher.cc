@@ -17,14 +17,6 @@ uint64_t Md4Hasher::Hash(std::string_view data) const {
   return Md4::DigestToU64(Md4::Hash(data));
 }
 
-uint64_t Md4Hasher::HashU64(uint64_t value) const {
-  uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<uint8_t>(value >> (8 * i));
-  }
-  return Md4::DigestToU64(Md4::Hash(bytes, 8));
-}
-
 uint64_t MixHasher::Hash(std::string_view data) const {
   // FNV-1a accumulation, then SplitMix64 finalization for avalanche.
   uint64_t h = 0xcbf29ce484222325ULL ^ salt_;

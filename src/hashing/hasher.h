@@ -4,7 +4,8 @@
 // items uniformly. DHTs already provide such IDs (the paper's key insight:
 // the DHT hash doubles as the sketch hash). Two implementations:
 //   * Md4Hasher   — the paper's choice (MD4 over the item bytes);
-//   * MixHasher   — SplitMix64 finalizer, ~20x faster, same uniformity for
+//   * MixHasher   — SplitMix64 finalizer, ~20x faster per u64 (bench_sketch
+//                   BM_MixHashU64 vs BM_Md4HashU64), same uniformity for
 //                   simulation purposes.
 
 #ifndef DHS_HASHING_HASHER_H_
@@ -29,8 +30,8 @@ class UniformHasher {
   /// Hash of an arbitrary byte string.
   virtual uint64_t Hash(std::string_view data) const = 0;
 
-  /// Hash of a 64-bit item identifier. Default implementation hashes the
-  /// 8 little-endian bytes of `value`.
+  /// Hash of a 64-bit item identifier. The default, which Md4Hasher
+  /// uses, hashes the 8 little-endian bytes of `value`.
   virtual uint64_t HashU64(uint64_t value) const;
 
   /// Hash truncated to the low `bits` bits, i.e. an ID in [0, 2^bits).
@@ -46,7 +47,6 @@ class UniformHasher {
 class Md4Hasher : public UniformHasher {
  public:
   uint64_t Hash(std::string_view data) const override;
-  uint64_t HashU64(uint64_t value) const override;
 };
 
 /// SplitMix64-finalizer hasher: fast, high-quality avalanche, suitable for

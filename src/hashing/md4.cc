@@ -121,12 +121,11 @@ void Md4::Update(const void* data, size_t len) {
 }
 
 Md4::Digest Md4::Finalize() {
-  // Padding: a single 0x80 byte, zeros, then the 64-bit bit-length (LE).
+  // Padding (RFC 1320 §3.1-3.2): a 0x80 byte and zeros up to 56 bytes
+  // mod 64, then the 64-bit message length in bits, little-endian.
+  static constexpr uint8_t kPadding[64] = {0x80};
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad_byte = 0x80;
-  Update(&pad_byte, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
+  Update(kPadding, (buffer_len_ < 56 ? 56 : 120) - buffer_len_);
 
   uint8_t length_bytes[8];
   StoreLe32(length_bytes, static_cast<uint32_t>(bit_len));

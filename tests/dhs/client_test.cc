@@ -6,7 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -578,6 +581,58 @@ TEST_F(DhsClientTest, CountCompletesCleanlyUnderModerateDrops) {
     EXPECT_EQ(result->bitmaps_unresolved, 0) << "trial " << trial;
   }
   net_.ClearFaultPlan();
+}
+
+// ---------------------------------------------------------------------------
+// §3.2 bulk-insert grouping (ForEachBitGroup).
+
+// The grouping against a std::map<int, std::set<int>> reference: the
+// same groups in the same order, which RNG draws and frames follow.
+TEST(ForEachBitGroupTest, MatchesOrderedMapReference) {
+  ChordNetwork net(FastChord());
+  Rng rng(20261017);
+  for (int m : {1, 16, 512, 65536}) {
+    for (int k : {4, 24, 48}) {
+      for (int shift_bits : {0, 3}) {
+        DhsConfig config;
+        config.k = k;
+        config.m = m;
+        config.estimator = DhsEstimator::kPcsa;
+        config.shift_bits = shift_bits;
+        auto client = DhsClient::Create(&net, config);
+        ASSERT_TRUE(client.ok()) << client.status().ToString();
+        for (size_t size : {0u, 1u, 500u, 5000u}) {
+          const std::string where = "m=" + std::to_string(m) +
+                                    " k=" + std::to_string(k) +
+                                    " shift=" + std::to_string(shift_bits) +
+                                    " size=" + std::to_string(size);
+          std::vector<uint64_t> batch;
+          for (size_t i = 0; i < size; ++i) batch.push_back(rng.Next());
+          // Duplicates, and an item whose low k bits are all zero (rho = k).
+          for (size_t i = 0; i < size / 2; ++i) batch.push_back(batch[i]);
+          if (size > 0) batch.push_back(rng.Next() << k);
+
+          std::map<int, std::set<int>> reference;
+          for (uint64_t hash : batch) {
+            const DhsPlacement p = client->PlaceItem(hash);
+            if (p.rho >= shift_bits) reference[p.rho].insert(p.vector_id);
+          }
+          std::vector<std::pair<int, std::vector<int>>> want;
+          for (const auto& [bit, ids] : reference) {
+            want.emplace_back(bit, std::vector<int>(ids.begin(), ids.end()));
+          }
+          std::vector<std::pair<int, std::vector<int>>> got;
+          const int groups = client->ForEachBitGroup(
+              batch, [&](int bit, const std::vector<int>& ids) {
+                got.emplace_back(bit, ids);
+              });
+          EXPECT_EQ(got, want) << where;
+          EXPECT_EQ(groups, static_cast<int>(want.size())) << where;
+          EXPECT_EQ(reference.count(k), size > 0 ? 1u : 0u) << where;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -52,9 +52,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
 std::vector<std::string> FuzzSeedCorpus() {
   // Lengths straddling the 56/64-byte padding boundaries, where MD4's
-  // length-encoding logic branches.
-  std::vector<std::string> seeds = {"", "a", "abc",
-                                    "message digest suffix"};
+  // length-encoding logic branches, and the 8 bytes of a u64 item.
+  std::vector<std::string> seeds = {
+      "", "a", "abc", "message digest suffix",
+      std::string("\x01\x23\x45\x67\x89\xab\xcd\xef", 8)};
   for (size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 128u, 300u}) {
     seeds.push_back(std::string(len, 'x'));
   }

@@ -36,6 +36,15 @@ TEST(Md4HasherTest, HashU64MatchesByteEncoding) {
   EXPECT_EQ(hasher.HashU64(value), hasher.Hash(std::string_view(bytes, 8)));
 }
 
+TEST(Md4HasherTest, HashU64IsPinned) {
+  // Fixed digests, so the u64 encoding and MD4 cannot drift together.
+  Md4Hasher hasher;
+  EXPECT_EQ(hasher.HashU64(0), 0xaa5cd5989d5a19beULL);
+  EXPECT_EQ(hasher.HashU64(1), 0xcd2898857bb80854ULL);
+  EXPECT_EQ(hasher.HashU64(0x0123456789abcdefULL), 0x63f2647683c13450ULL);
+  EXPECT_EQ(hasher.HashU64(~uint64_t{0}), 0x692eb5a5a976fa79ULL);
+}
+
 TEST(Md4HasherTest, LowBitsAreUniform) {
   ExpectUniformLowBits(Md4Hasher());
 }

@@ -65,14 +65,18 @@ TEST(Md4Test, IncrementalMatchesOneShot) {
 }
 
 TEST(Md4Test, ExactBlockSizeMessages) {
-  // 55/56/63/64/65 bytes straddle the padding edge cases.
-  for (size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const std::string message(len, 'x');
+  // Every length 0-130: one-shot Hash, one Update and byte-at-a-time
+  // Updates agree across the 55/56, 63/64 and 119/120 padding edges.
+  std::string message;
+  for (size_t len = 0; len <= 130; ++len) {
     Md4 a;
     a.Update(message);
     Md4 b;
     for (char c : message) b.Update(&c, 1);
-    EXPECT_EQ(a.Finalize(), b.Finalize()) << "len=" << len;
+    const Md4::Digest bytewise = b.Finalize();
+    EXPECT_EQ(a.Finalize(), bytewise) << "len=" << len;
+    EXPECT_EQ(Md4::Hash(message), bytewise) << "len=" << len;
+    message.push_back(static_cast<char>('a' + len % 26));
   }
 }
 
