@@ -12,27 +12,21 @@
 //     backend and again with every frame crossing the AF_UNIX
 //     loopback pair. The frontier cache is OFF in all modes so the
 //     numbers isolate coalescing, not memoization.
-//   * Inserts leg — insert batches through the sharded front door at
-//     1/4/8 shards, sequential vs pipelined (all pending batches
-//     compiled into one engine wave).
 //
-// Equivalence gates before any number is trusted: every count leg
+// Equivalence gate before any number is trusted: every count leg
 // replays its own wave log through a plain DhsClient on an
 // identically-built twin world with an identically-seeded RNG and
 // requires every served answer byte-identical to the replay (the
 // serving layer's headline guarantee — coalesced and uncoalesced legs
 // consume different rng streams, so they are each gated against their
-// own unoptimized replay, not against each other), and every insert
-// leg must leave byte-identical worlds (per-ticket cost reports,
-// message stats, storage) across modes AND shard counts.
+// own unoptimized replay, not against each other).
 // The headline acceptance ratio — coalesced >= 2x uncoalesced
 // counts/sec on the default workload — is CHECKed, not just printed.
 //
 // Results land in BENCH_serving.json (override: DHS_SERVING_JSON).
 // Knobs: DHS_SERVING_NODES (256), DHS_SERVING_TENANTS (16),
 // DHS_SERVING_ITEMS (items per tenant, 1500), DHS_SERVING_REQS (1536),
-// DHS_SERVING_BATCH (32), DHS_SERVING_THETA (x100, 100),
-// DHS_SERVING_INSERT_BATCHES (160).
+// DHS_SERVING_BATCH (32), DHS_SERVING_THETA (x100, 100).
 
 #include <chrono>
 #include <cstdint>
@@ -40,18 +34,15 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/zipf.h"
-#include "dhs/front_door.h"
 #include "dhs/serving.h"
 #include "dht/chord.h"
 #include "dht/loopback.h"
-#include "dht/shard.h"
 #include "hashing/hasher.h"
 
 namespace dhs {
@@ -64,8 +55,8 @@ double ElapsedSeconds(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Full-precision, locale-independent double formatting (digests and
-/// JSON fields share it so reruns diff cleanly).
+/// Full-precision, locale-independent double formatting, so JSON reruns
+/// diff cleanly.
 std::string StableDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -88,7 +79,6 @@ struct Workload {
   int reqs;
   int batch;
   double theta;
-  int insert_batches;
 };
 
 Workload ReadWorkload() {
@@ -99,7 +89,6 @@ Workload ReadWorkload() {
   w.reqs = EnvInt("DHS_SERVING_REQS", 1536);
   w.batch = EnvInt("DHS_SERVING_BATCH", 32);
   w.theta = EnvInt("DHS_SERVING_THETA", 100) / 100.0;
-  w.insert_batches = EnvInt("DHS_SERVING_INSERT_BATCHES", 160);
   return w;
 }
 
@@ -267,91 +256,9 @@ CountLeg RunCountLeg(const Workload& w, bool loopback, bool coalesce,
 }
 
 // ---------------------------------------------------------------------------
-// Inserts leg: sharded front door, sequential vs pipelined.
-
-struct InsertLeg {
-  int shards = 0;
-  std::string mode;
-  int batches = 0;
-  uint64_t items = 0;
-  uint64_t waves = 0;
-  double wall = 0.0;
-  double items_per_sec = 0.0;
-  double speedup = 1.0;   // vs sequential at the same shard count
-  std::string digest;     // world observables, compared across everything
-};
-
-InsertLeg RunInsertLeg(const Workload& w, int shards, bool pipeline) {
-  auto net = MakeNetwork(w.nodes, /*seed=*/20260808);
-  ShardedNetwork engine(net.get(), shards);
-  auto door_or = DhsFrontDoor::Create(&engine, ServingBenchConfig());
-  CHECK_OK(door_or);
-  DhsFrontDoor door = std::move(door_or.value());
-
-  DhsServingConfig serving_config;
-  serving_config.pipeline_inserts = pipeline;
-  auto serving_or = DhsServing::Create(&door, serving_config);
-  CHECK_OK(serving_or);
-  DhsServing serving = std::move(serving_or.value());
-
-  MixHasher hasher(71);
-  Rng schedule(72);
-  Rng serve_rng(73);
-  uint64_t next_item = 0;
-
-  InsertLeg leg;
-  leg.shards = shards;
-  leg.mode = pipeline ? "pipelined" : "sequential";
-  leg.batches = w.insert_batches;
-
-  std::ostringstream digest;
-  std::vector<uint64_t> tickets;
-  const auto t0 = Clock::now();
-  for (int b = 0; b < w.insert_batches; ++b) {
-    const uint64_t metric = 1 + static_cast<uint64_t>(b % w.tenants);
-    std::vector<uint64_t> items;
-    for (int i = 0; i < 120; ++i) items.push_back(hasher.HashU64(next_item++));
-    leg.items += items.size();
-    tickets.push_back(serving.SubmitInsertBatch(net->RandomNode(schedule),
-                                                metric, std::move(items)));
-    if (tickets.size() == 8 || b + 1 == w.insert_batches) {
-      CHECK_OK(serving.Flush(serve_rng));
-      for (uint64_t ticket : tickets) {
-        auto cost = serving.TakeInsert(ticket);
-        CHECK_OK(cost);
-        digest << "cost " << cost->nodes_visited << ' ' << cost->hops << ' '
-               << cost->bytes << ' ' << cost->dht_lookups << ' '
-               << cost->direct_probes << ' ' << cost->replicas_written << '\n';
-      }
-      tickets.clear();
-      serving.ClearWaveLog();
-    }
-  }
-  leg.wall = ElapsedSeconds(t0);
-  leg.waves = serving.stats().insert_waves;
-  leg.items_per_sec = static_cast<double>(leg.items) / leg.wall;
-
-  // Every mode and shard count must have built the identical world.
-  Rng count_rng(74);
-  for (int t = 1; t <= w.tenants; ++t) {
-    auto count = door.Count(net->RandomNode(count_rng),
-                            static_cast<uint64_t>(t), count_rng);
-    CHECK_OK(count);
-    digest << "estimate " << t << ' ' << StableDouble(count->estimate) << '\n';
-  }
-  digest << "messages " << net->stats().messages << " bytes "
-         << net->stats().bytes << " storage " << net->TotalStorageBytes()
-         << '\n';
-  leg.digest = digest.str();
-  CHECK_OK(net->AuditFull());
-  return leg;
-}
-
-// ---------------------------------------------------------------------------
 
 bool WriteJson(const std::string& path, const Workload& w,
-               const std::vector<CountLeg>& counts,
-               const std::vector<InsertLeg>& inserts) {
+               const std::vector<CountLeg>& counts) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -361,13 +268,12 @@ bool WriteJson(const std::string& path, const Workload& w,
                "{\n  \"bench\": \"serving\",\n"
                "  \"equivalence\": \"every served count byte-identical to a "
                "plain-client replay of its wave log on an identically-seeded "
-               "twin world; insert world digest byte-identical across modes "
-               "and shard counts\",\n"
+               "twin world\",\n"
                "  \"workload\": {\"nodes\": %d, \"tenants\": %d, "
                "\"items_per_tenant\": %d, \"reqs\": %d, \"batch\": %d, "
-               "\"theta\": %s, \"insert_batches\": %d},\n",
+               "\"theta\": %s},\n",
                w.nodes, w.tenants, w.items_per_tenant, w.reqs, w.batch,
-               StableDouble(w.theta).c_str(), w.insert_batches);
+               StableDouble(w.theta).c_str());
   std::fprintf(f, "  \"counts\": [\n");
   for (size_t i = 0; i < counts.size(); ++i) {
     const CountLeg& c = counts[i];
@@ -384,20 +290,6 @@ bool WriteJson(const std::string& path, const Workload& w,
                  StableDouble(c.speedup).c_str(), c.lim_final,
                  i + 1 < counts.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"inserts\": [\n");
-  for (size_t i = 0; i < inserts.size(); ++i) {
-    const InsertLeg& r = inserts[i];
-    std::fprintf(f,
-                 "    {\"shards\": %d, \"mode\": \"%s\", \"batches\": %d, "
-                 "\"items\": %llu, \"waves\": %llu, \"items_per_sec\": %s, "
-                 "\"speedup_vs_sequential\": %s}%s\n",
-                 r.shards, r.mode.c_str(), r.batches,
-                 static_cast<unsigned long long>(r.items),
-                 static_cast<unsigned long long>(r.waves),
-                 StableDouble(r.items_per_sec).c_str(),
-                 StableDouble(r.speedup).c_str(),
-                 i + 1 < inserts.size() ? "," : "");
-  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   return true;
@@ -411,7 +303,7 @@ void Run() {
                                     ? json_env
                                     : "BENCH_serving.json";
 
-  PrintHeader("P6: serving throughput (coalescing, pipelining, lim tuner)",
+  PrintHeader("P6: serving throughput (coalescing, lim tuner)",
               "nodes=" + std::to_string(w.nodes) +
                   ", tenants=" + std::to_string(w.tenants) +
                   ", reqs=" + std::to_string(w.reqs) +
@@ -445,41 +337,14 @@ void Run() {
     }
   }
 
-  std::printf("\n");
-  PrintRow({"shards", "mode", "waves", "items/s", "speedup"});
-  std::vector<InsertLeg> inserts;
-  std::string reference_digest;
-  for (int shards : {1, 4, 8}) {
-    double sequential_per_sec = 0.0;
-    for (bool pipeline : {false, true}) {
-      inserts.push_back(RunInsertLeg(w, shards, pipeline));
-      InsertLeg& leg = inserts.back();
-      if (reference_digest.empty()) {
-        reference_digest = leg.digest;
-      } else {
-        CHECK(leg.digest == reference_digest)
-            << leg.mode << " at " << shards
-            << " shards diverged from the sequential 1-shard world";
-      }
-      if (!pipeline) {
-        sequential_per_sec = leg.items_per_sec;
-      } else {
-        leg.speedup = leg.items_per_sec / sequential_per_sec;
-      }
-      PrintRow({std::to_string(leg.shards), leg.mode,
-                std::to_string(leg.waves), FormatDouble(leg.items_per_sec, 0),
-                FormatDouble(leg.speedup, 2)});
-    }
-  }
-
   PrintPaperNote(
       "Not a paper experiment: the paper's evaluation issues one count at "
-      "a time. This leg prices the serving front end (coalescing, insert "
-      "pipelining, online lim tuning) that a production deployment would "
+      "a time. This leg prices the serving front end (coalescing, online "
+      "lim tuning) that a production deployment would "
       "put in front of Sec. 3's protocols, with answers gated to be "
       "byte-identical to the unoptimized path.");
 
-  if (WriteJson(json_path, w, counts, inserts)) {
+  if (WriteJson(json_path, w, counts)) {
     std::printf("wrote %s\n", json_path.c_str());
   }
 }

@@ -1,12 +1,12 @@
 // Synchronization primitives with Clang Thread Safety Analysis
-// annotations, runtime lock diagnostics, and the thread-hostility
+// annotations, runtime lock-misuse checks, and the thread-hostility
 // marker trait.
 //
 // The simulator core is single-threaded by design (dht/network.h); the
-// parallelism the repo does use — the multi-trial experiment runner and
-// the sharded engine's pinned workers in common/thread_pool.h — shares
-// very little mutable state between threads. This header makes those
-// facts machine-checkable along two axes:
+// one parallel regime — the multi-trial experiment runner in
+// common/thread_pool.h — shares very little mutable state between
+// threads. This header makes those facts machine-checkable along two
+// axes:
 //
 //   * Static: Mutex / MutexLock / CondVar wrap the std primitives and
 //     carry Clang `capability` attributes, so any code that does share
@@ -16,24 +16,14 @@
 //     CMakeLists.txt) and promoted to errors by DHS_WERROR; a missing
 //     annotation is a broken build, not a latent race.
 //
-//   * Runtime: every Mutex carries a registered name and per-mutex
-//     contention counters (acquisitions, contended acquisitions, wait
-//     nanoseconds — SnapshotMutexProfiles(), exported to the metrics
-//     registry by obs/sync_metrics.h), and a global lock-order
-//     deadlock detector watches every acquisition. The detector keeps
-//     a per-thread held-lock stack plus a global acquisition-order
-//     graph keyed by mutex identity; acquiring B while holding A adds
-//     the edge A -> B, and an acquisition that would close a cycle
-//     (the classic AB/BA inversion) or re-acquire a mutex the thread
-//     already holds (self deadlock on a non-recursive mutex) is
-//     reported through the CHECK failure hook — with the acquisition
-//     sites of both sides, captured via std::source_location — BEFORE
-//     the thread blocks on the native lock. The graph machinery is
-//     compiled in when the DHS_DEADLOCK_DETECTOR CMake option is ON
-//     (the default; see the top-level CMakeLists.txt) and can be
-//     toggled at runtime with SetDeadlockDetectorEnabled; the
-//     contention counters are always maintained (three relaxed atomic
-//     adds per acquisition).
+//   * Runtime: every Mutex carries a registered name, and a per-thread
+//     held-lock stack records each acquisition with its call site
+//     (captured via std::source_location). Re-acquiring a mutex the
+//     thread already holds (self deadlock on a non-recursive mutex),
+//     AssertHeld on a mutex the thread does not hold, and unlocking a
+//     mutex the thread never locked are reported through the CHECK
+//     failure hook, naming the mutex — the self-lock BEFORE the thread
+//     blocks on the native lock.
 //
 //   * ThreadHostile is an explicit marker for types that mutate
 //     internal state on logically-const paths (lazily built caches:
@@ -44,19 +34,16 @@
 //
 // On non-Clang compilers every annotation macro expands to nothing;
 // the primitives still work, the static analysis just does not run
-// (CI runs a Clang leg so annotations cannot rot). The runtime
-// diagnostics are compiler-independent.
+// (CI runs a Clang leg so annotations cannot rot). The runtime checks
+// are compiler-independent.
 
 #ifndef DHS_COMMON_SYNC_H_
 #define DHS_COMMON_SYNC_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <source_location>
 #include <type_traits>
-#include <vector>
 
 // ---------------------------------------------------------------------------
 // Clang Thread Safety Analysis attribute macros (the attribute spelling
@@ -123,29 +110,12 @@
 namespace dhs {
 
 class Mutex;
-struct MutexProfile;
-std::vector<MutexProfile> SnapshotMutexProfiles();
 
 namespace sync_internal {
 
-/// Per-mutex contention counters. Relaxed atomics: the counts feed
-/// diagnostics, never synchronization, and exactness per-counter is
-/// preserved (each add is atomic; only cross-counter snapshots are
-/// unordered).
-struct MutexCounters {
-  std::atomic<uint64_t> acquisitions{0};
-  std::atomic<uint64_t> contended{0};
-  std::atomic<uint64_t> wait_ns{0};
-  /// Set by the first acquisition, which registers the mutex with the
-  /// profile registry so SnapshotMutexProfiles() sees it while live.
-  std::atomic<bool> registered{false};
-};
-
 /// Called by Mutex before blocking on the native lock: runs the
-/// self-deadlock and lock-order cycle checks (when the detector is
-/// enabled) and records the would-be acquisition edge. May fire the
-/// CHECK failure hook and never return (the default handler aborts,
-/// the test handler throws).
+/// self-deadlock check. May fire the CHECK failure hook and never
+/// return (the default handler aborts, the test handler throws).
 void PreAcquire(const Mutex* mu, const std::source_location& loc);
 /// Called once the native lock is held: pushes the per-thread held
 /// entry.
@@ -156,9 +126,6 @@ void PreRelease(const Mutex* mu);
 bool HeldByThisThread(const Mutex* mu);
 /// Fires the CHECK failure hook for a violated AssertHeld.
 void AssertHeldFailure(const Mutex* mu, const std::source_location& loc);
-/// Unregisters a destroyed mutex: folds its counters into the retired
-/// per-name aggregate and drops its lock-order graph node.
-void Retire(const Mutex* mu);
 
 }  // namespace sync_internal
 
@@ -170,27 +137,22 @@ void Retire(const Mutex* mu);
 /// members can be declared GUARDED_BY an instance and the analysis can
 /// track acquire/release through Lock()/Unlock()/MutexLock.
 ///
-/// Every Mutex may carry a registered name: diagnostics (deadlock
-/// reports, contention metrics) aggregate by that name, so give every
-/// long-lived mutex one — the determinism linter (tools/lint) flags
-/// unnamed members. Acquisition sites are captured automatically via
-/// std::source_location default arguments.
+/// Every Mutex may carry a registered name: the runtime checks report
+/// by that name, so give every long-lived mutex one — the determinism
+/// linter (tools/lint) flags unnamed members. Acquisition sites are
+/// captured automatically via std::source_location default arguments.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   /// `name` must outlive the mutex (string literals only).
   explicit Mutex(const char* name) : name_(name) {}
-  ~Mutex() { sync_internal::Retire(this); }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock(std::source_location loc =
                 std::source_location::current()) ACQUIRE() {
     sync_internal::PreAcquire(this, loc);
-    if (!mu_.try_lock()) {
-      LockContended();
-    }
-    counters_.acquisitions.fetch_add(1, std::memory_order_relaxed);
+    mu_.lock();
     sync_internal::PostAcquire(this, loc);
   }
 
@@ -199,13 +161,11 @@ class CAPABILITY("mutex") Mutex {
     mu_.unlock();
   }
 
-  /// Never blocks, so it runs no deadlock check: a failed try_lock
-  /// cannot deadlock, and a successful one established no wait-for
-  /// edge.
+  /// Never blocks, so it runs no self-deadlock check: a failed
+  /// try_lock cannot deadlock.
   bool TryLock(std::source_location loc =
                    std::source_location::current()) TRY_ACQUIRE(true) {
     if (!mu_.try_lock()) return false;
-    counters_.acquisitions.fetch_add(1, std::memory_order_relaxed);
     sync_internal::PostAcquire(this, loc);
     return true;
   }
@@ -226,18 +186,9 @@ class CAPABILITY("mutex") Mutex {
 
  private:
   friend class CondVar;
-  friend void sync_internal::PostAcquire(const Mutex* mu,
-                                         const std::source_location& loc);
-  friend void sync_internal::Retire(const Mutex* mu);
-  friend std::vector<MutexProfile> SnapshotMutexProfiles();
-
-  /// Out-of-line slow path: counts the contention and the nanoseconds
-  /// spent blocked on the native lock.
-  void LockContended();
 
   std::mutex mu_;
   const char* name_ = "unnamed";
-  mutable sync_internal::MutexCounters counters_;
 };
 
 /// RAII lock of a Mutex for a scope.
@@ -263,8 +214,7 @@ class SCOPED_CAPABILITY MutexLock {
 /// AssertHeld); it atomically releases the mutex while blocked and
 /// re-acquires it before returning. The caller's held-lock entry stays
 /// in place across the wait — the caller logically holds the mutex for
-/// the whole scope, and the blocked thread cannot acquire anything
-/// else, so the deadlock detector sees a consistent picture.
+/// the whole scope, so AssertHeld after the wait still passes.
 class CondVar {
  public:
   CondVar() = default;
@@ -292,32 +242,6 @@ class CondVar {
  private:
   std::condition_variable cv_;
 };
-
-// ---------------------------------------------------------------------------
-// Lock diagnostics
-// ---------------------------------------------------------------------------
-
-/// Snapshot of one mutex name's accumulated contention counters:
-/// destroyed mutexes fold into their name's aggregate, live ones are
-/// summed in at snapshot time.
-struct MutexProfile {
-  const char* name = "unnamed";
-  uint64_t acquisitions = 0;  // successful Lock() + TryLock() == true
-  uint64_t contended = 0;     // Lock() calls that had to block
-  uint64_t wait_ns = 0;       // nanoseconds spent blocked in Lock()
-};
-
-/// All known mutex profiles aggregated by registered name, sorted by
-/// name. obs/sync_metrics.h exports this through the MetricsRegistry.
-std::vector<MutexProfile> SnapshotMutexProfiles();
-
-/// Toggles the lock-order deadlock detector at runtime and returns the
-/// previous setting. The build-time default is ON when the
-/// DHS_DEADLOCK_DETECTOR CMake option is enabled (it is by default)
-/// and OFF otherwise; either way the code is compiled in and this
-/// switch decides whether acquisitions feed the lock-order graph.
-bool SetDeadlockDetectorEnabled(bool enabled);
-bool DeadlockDetectorEnabled();
 
 // ---------------------------------------------------------------------------
 // Thread-hostility marker

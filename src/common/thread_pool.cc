@@ -55,98 +55,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-ShardPool::ShardPool(int shards) : shards_(shards < 1 ? 1 : shards) {
-  queues_.resize(static_cast<size_t>(shards_));
-  if (shards_ <= 1) return;  // inline mode: no workers
-  threads_.reserve(static_cast<size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    threads_.emplace_back([this, s] { WorkerLoop(s); });
-  }
-}
-
-ShardPool::~ShardPool() {
-  if (inlined()) return;
-  {
-    MutexLock lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.SignalAll();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ShardPool::Post(int shard, std::function<void()> task) {
-  CHECK(shard >= 0 && shard < shards_)
-      << "posting to shard " << shard << " of " << shards_;
-  if (inlined()) {
-    task();  // single-shard baseline: run on the posting thread
-    return;
-  }
-  // Announce BEFORE enqueueing: the controller's pending count must
-  // never lag behind a worker's AcquireSlot for this task.
-  ScheduleController* controller =
-      controller_.load(std::memory_order_acquire);
-  if (controller != nullptr) controller->TaskPosted(shard);
-  {
-    MutexLock lock(mu_);
-    CHECK(!shutdown_) << "Post on a shut-down ShardPool";
-    queues_[static_cast<size_t>(shard)].push_back(std::move(task));
-    ++queued_;
-  }
-  work_cv_.SignalAll();
-}
-
-void ShardPool::Barrier() {
-  if (inlined()) return;  // tasks already ran inline
-  MutexLock lock(mu_);
-  while (queued_ != 0 || active_ != 0) idle_cv_.Wait(mu_);
-}
-
-void ShardPool::RunRound(const std::function<void(int)>& fn) {
-  ScheduleController* controller =
-      inlined() ? nullptr : controller_.load(std::memory_order_acquire);
-  if (controller != nullptr) controller->BatchBegin();
-  for (int s = 0; s < shards_; ++s) {
-    Post(s, [&fn, s] { fn(s); });
-  }
-  if (controller != nullptr) controller->BatchEnd();
-  Barrier();
-}
-
-void ShardPool::SetScheduleController(ScheduleController* controller) {
-  if (inlined()) return;  // a single thread is already a total order
-  MutexLock lock(mu_);
-  CHECK(queued_ == 0 && active_ == 0)
-      << "SetScheduleController on a busy ShardPool";
-  controller_.store(controller, std::memory_order_release);
-}
-
-void ShardPool::WorkerLoop(int shard) {
-  std::deque<std::function<void()>>& queue =
-      queues_[static_cast<size_t>(shard)];
-  while (true) {
-    std::function<void()> task;
-    {
-      MutexLock lock(mu_);
-      while (queue.empty() && !shutdown_) work_cv_.Wait(mu_);
-      if (queue.empty()) return;  // shutdown with a drained queue
-      task = std::move(queue.front());
-      queue.pop_front();
-      --queued_;
-      ++active_;
-    }
-    ScheduleController* controller =
-        controller_.load(std::memory_order_acquire);
-    if (controller != nullptr) controller->AcquireSlot(shard);
-    task();
-    if (controller != nullptr) controller->ReleaseSlot(shard);
-    {
-      MutexLock lock(mu_);
-      --active_;
-      if (queued_ == 0 && active_ == 0) idle_cv_.SignalAll();
-    }
-  }
-}
-
 int DefaultTrialThreads() {
   // Read once: DHS_THREADS is consulted before any worker exists, and
   // nothing in the codebase calls setenv.

@@ -1,11 +1,11 @@
-// Fixed-size worker pool, the deterministic multi-trial runner, and the
-// per-shard worker set used by the sharded single-world engine.
+// Fixed-size worker pool and the deterministic multi-trial runner.
 //
 // The experiment harness (bench/, tools/audit_sim) averages many
 // independent seeded simulator trials. Each trial owns its entire world
 // — network, clients, RNG — so trials parallelize embarrassingly; the
 // only shared state is the pool's own queue, which is annotated and
-// checked by Clang Thread Safety Analysis (common/sync.h).
+// checked by Clang Thread Safety Analysis (common/sync.h). This is the
+// repo's one parallel regime: a single world always runs on one thread.
 //
 // Determinism contract of RunTrials: the result vector is a function of
 // (n_trials, seed_base, fn) only. Trial i always runs with
@@ -13,20 +13,10 @@
 // completion order, and aggregation happens on the calling thread after
 // every trial finished — so 1, 2 and 8 threads produce bit-identical
 // output (tests/common/thread_pool_test.cc pins this).
-//
-// ShardPool is the other parallelism shape: one *pinned* worker per
-// shard, each draining its own FIFO task queue, plus a barrier that
-// the sharded network engine (dht/shard.h) uses as its tick barrier.
-// Unlike ThreadPool's shared queue, work posted to shard s always runs
-// on worker s — shard-owned state (stores, routing caches, load
-// slices) is therefore mutated by exactly one thread, and the barrier
-// provides the happens-before edge for the coordinator to exchange
-// cross-shard messages between rounds.
 
 #ifndef DHS_COMMON_THREAD_POOL_H_
 #define DHS_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -77,97 +67,6 @@ class ThreadPool {
   // Written only by the constructor (before any worker exists) and
   // joined by the destructor (after shutdown drains); concurrent reads
   // see a vector that never changes size.
-  // dhs-analyze: allow(lock-unguarded-member)
-  std::vector<std::thread> threads_;
-};
-
-/// Test-only hook serializing ShardPool task execution into a
-/// controlled total order, so the schedule-exploration harness
-/// (common/schedule.h, audit_sim --interleave) can drive adversarial
-/// interleavings instead of whatever the OS scheduler produces.
-///
-/// Protocol, all calls made by the pool:
-///   * BatchBegin/BatchEnd bracket RunRound's posting loop — grants
-///     are held until the whole round is visible, which keeps the
-///     controller's choice points deterministic.
-///   * TaskPosted(shard) fires on the posting thread BEFORE the task
-///     is enqueued, so the controller's pending count is never behind
-///     a worker's AcquireSlot.
-///   * AcquireSlot(shard) fires on worker `shard` after it popped a
-///     task and blocks until the controller grants the slot;
-///     ReleaseSlot(shard) fires when the task completed.
-///
-/// Implementations must be thread-safe. Inline pools (shards <= 1)
-/// never invoke the controller: a single thread is already a total
-/// order.
-class ScheduleController {
- public:
-  virtual ~ScheduleController() = default;
-  virtual void BatchBegin() = 0;
-  virtual void BatchEnd() = 0;
-  virtual void TaskPosted(int shard) = 0;
-  virtual void AcquireSlot(int shard) = 0;
-  virtual void ReleaseSlot(int shard) = 0;
-};
-
-/// One worker thread per shard, each with its own task queue, plus a
-/// tick barrier. `shards() <= 1` runs every task inline on the posting
-/// thread (the deterministic single-shard baseline) — no thread is
-/// spawned, so a 1-shard engine behaves exactly like unsharded code.
-class ShardPool {
- public:
-  /// Spawns one pinned worker per shard when `shards >= 2`.
-  explicit ShardPool(int shards);
-
-  /// Drains every queue, then joins the workers.
-  ~ShardPool() EXCLUDES(mu_);
-
-  ShardPool(const ShardPool&) = delete;
-  ShardPool& operator=(const ShardPool&) = delete;
-
-  /// Enqueues a task on shard `shard`'s worker (run inline when the
-  /// pool is inline). Tasks must not throw. Post and Barrier are meant
-  /// to be called from one coordinating thread; tasks themselves must
-  /// not Post.
-  void Post(int shard, std::function<void()> task) EXCLUDES(mu_);
-
-  /// Tick barrier: blocks until every shard queue is empty and every
-  /// worker is idle. Returning establishes a happens-before edge from
-  /// all completed tasks to the caller.
-  void Barrier() EXCLUDES(mu_);
-
-  /// Convenience round: posts fn(shard) to every shard, then Barrier().
-  /// When a controller is installed the posting loop is bracketed in
-  /// BatchBegin/BatchEnd so the whole round is one choice frontier.
-  void RunRound(const std::function<void(int)>& fn) EXCLUDES(mu_);
-
-  /// Installs (or clears, with nullptr) the schedule controller. Not
-  /// owned; must outlive its installation. Only legal while the pool
-  /// is idle (between Barrier and the next Post). Ignored on inline
-  /// pools.
-  void SetScheduleController(ScheduleController* controller) EXCLUDES(mu_);
-
-  int shards() const { return shards_; }
-
-  /// True when tasks run inline on the posting thread (shards <= 1).
-  bool inlined() const { return threads_.empty(); }
-
- private:
-  void WorkerLoop(int shard) EXCLUDES(mu_);
-
-  const int shards_;
-  Mutex mu_{"shard_pool"};
-  CondVar work_cv_;  // signaled on new work / shutdown
-  CondVar idle_cv_;  // signaled when a worker may have drained
-  std::vector<std::deque<std::function<void()>>> queues_ GUARDED_BY(mu_);
-  int active_ GUARDED_BY(mu_) = 0;
-  size_t queued_ GUARDED_BY(mu_) = 0;
-  bool shutdown_ GUARDED_BY(mu_) = false;
-  // Atomic rather than GUARDED_BY(mu_): workers load it after popping
-  // a task, outside the queue lock; installation is fenced by the
-  // idle-pool precondition of SetScheduleController.
-  std::atomic<ScheduleController*> controller_{nullptr};
-  // Constructor/destructor-only, like ThreadPool::threads_ above.
   // dhs-analyze: allow(lock-unguarded-member)
   std::vector<std::thread> threads_;
 };

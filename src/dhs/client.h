@@ -210,8 +210,8 @@ class DhsClient {
   [[nodiscard]] Status AuditFull() const;
 
  private:
-  // The sharded front door closes its insert batches out with this
-  // client's audit, root-span annotations and op metrics.
+  // The front door closes its insert batches out with this client's
+  // audit, root-span annotations and op metrics.
   friend class DhsFrontDoor;
 
   DhsClient(DhtNetwork* network, const DhsConfig& config,

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "dht/fault.h"
 #include "dht/wire.h"
 #include "dhs/mapping.h"
 
@@ -77,7 +76,7 @@ StatusOr<CompiledInsertBatch> DhsFrontDoor::CompileInsertBatch(
         op.ttl_ticks = config.ttl_ticks;
         op.replication = config.replication;
         op.replica_slack = kReplicaSlack;
-        // Hand the engine the encoded kPut frame; it re-derives the
+        // Hand the executor the encoded kPut frame; it re-derives the
         // routed fields from the wire bytes (shard.h ShardOp::frame).
         PutFrame put;
         put.dst_key = op.key;
@@ -153,15 +152,6 @@ StatusOr<DhsClient::MultiCountResult> DhsFrontDoor::CountMany(
 StatusOr<DhsClient::MultiCountResult> DhsFrontDoor::CountMany(
     uint64_t origin_node, const std::vector<uint64_t>& metric_ids, Rng& rng,
     const DhsCountOptions& options) {
-  // A crash drawn mid-count would change membership behind the
-  // engine's back and leave its shard plan stale, so crash plans are
-  // refused here as ExecuteBatch refuses them.
-  const FaultPlan& faults = network()->fault_plan();
-  if (faults.active() && faults.config().crash_probability > 0.0) {
-    return Status::InvalidArgument(
-        "front-door counts cannot inject crash faults (membership "
-        "changes must go through the engine)");
-  }
   return client_.CountMany(origin_node, metric_ids, rng, options);
 }
 

@@ -1,23 +1,26 @@
-// Sharded DHS front door: bulk insertion (§3.2) expressed as ShardOp
-// batches for the sharded engine (dht/shard.h), plus counting through
+// DHS front door: bulk insertion (§3.2) compiled into kPut ShardOp
+// batches for the inline executor (dht/shard.h), plus counting through
 // the sequential client.
 //
-// The front door owns a DhsClient on the engine's network. Inserts
+// The front door owns a DhsClient on the executor's network. Inserts
 // compile to kPut ops and run through ShardedNetwork::ExecuteBatch;
-// outcome accounting maps 1:1 onto DhsCostReport (the engine mirrors
+// outcome accounting maps 1:1 onto DhsCostReport (the executor mirrors
 // the client's charging rules). Each batch runs under an
 // "insert_batch" root span that the client's FinishOp closes out with
 // the client's cost annotations and op metrics, so the tracer's
 // root-span reconciliation invariant holds unchanged.
 //
-// Counts are the client's Alg. 1, run between batches: a front-door
-// count pays exactly the sequential client's cost (early exit, frontier
-// cache, retry_backoff_ticks and all), and for a fixed seed its result
-// equals a plain DhsClient's field for field (pinned by
-// tests/dht/shard_test.cc). Two divergences from the sequential client
-// remain (DESIGN.md "Sharding model"): engine inserts do not advance
-// the virtual clock on retry, and crash faults are rejected — by the
-// engine for inserts, and by CountMany for counts.
+// Counts are the client's Alg. 1: a front-door count pays exactly the
+// sequential client's cost (early exit, frontier cache,
+// retry_backoff_ticks, crash faults and all), and for a fixed seed its
+// result equals a plain DhsClient's field for field. Without faults a
+// front-door InsertBatch equals the client's too (both pinned by
+// tests/dht/shard_test.cc). Two divergences remain on inserts (DESIGN.md
+// "Insert engine"): retries do not advance the virtual clock, and crash
+// plans are refused.
+//
+// The front door exists only because the repository benchmark still
+// drives it; it goes together with the executor.
 
 #ifndef DHS_DHS_FRONT_DOOR_H_
 #define DHS_DHS_FRONT_DOOR_H_
@@ -34,15 +37,14 @@
 namespace dhs {
 
 /// One compiled bulk insertion: the §3.2 bit-group kPut ops of a
-/// single InsertBatch call, ready for engine execution. Built by
+/// single InsertBatch call, ready for execution. Built by
 /// DhsFrontDoor::CompileInsertBatch and executed either by the front
 /// door itself (InsertBatch) or merged with other compiled batches
-/// into one engine wave by the serving layer; FoldInsertOutcomes maps
-/// the engine outcomes (parallel to `ops`) back to the per-batch
-/// DhsCostReport. Because kPut ops never read stores, engine fault
-/// ordinals accumulate across batches and the virtual clock is frozen
-/// inside a batch, a merged execution is byte-identical to executing
-/// the batches back to back (pinned by tests/dhs/serving_test.cc).
+/// into one ExecuteBatch; FoldInsertOutcomes maps the outcomes
+/// (parallel to `ops`) back to the per-batch DhsCostReport. Because
+/// kPut ops never read stores, fault ordinals accumulate across
+/// batches and the virtual clock is frozen inside a batch, a merged
+/// execution is byte-identical to executing the batches back to back.
 struct CompiledInsertBatch {
   std::vector<ShardOp> ops;   // one kPut per bit group that compiled
   int groups_total = 0;       // bit groups in the batch (ops + pre-failed)
@@ -64,18 +66,19 @@ class DhsFrontDoor {
   DhsClient* client() { return &client_; }
 
   /// Bulk insertion (§3.2): groups items by bit position and issues one
-  /// kPut per group as a single engine batch. Degradation semantics
+  /// kPut per group as a single ExecuteBatch. Degradation semantics
   /// match DhsClient::InsertBatch: a failed group is counted in
   /// bit_groups_failed and the batch continues; the error is returned
-  /// only when every group failed.
+  /// only when every group failed. Fails InvalidArgument under a crash
+  /// plan (the executor's rule).
   [[nodiscard]] StatusOr<DhsCostReport> InsertBatch(
       uint64_t origin_node, uint64_t metric_id,
       const std::vector<uint64_t>& item_hashes, Rng& rng);
 
   /// Compiles one InsertBatch into its kPut ops without executing them
-  /// (the serving layer's pipelined hand-off: several compiled batches
-  /// merge into one ExecuteBatch). Draws the same RNG sequence as
-  /// InsertBatch and invalidates the metric's cached frontier.
+  /// (several compiled batches may merge into one ExecuteBatch). Draws
+  /// the same RNG sequence as InsertBatch and invalidates the metric's
+  /// cached frontier.
   [[nodiscard]] StatusOr<CompiledInsertBatch> CompileInsertBatch(
       uint64_t origin_node, uint64_t metric_id,
       const std::vector<uint64_t>& item_hashes, Rng& rng);
@@ -91,8 +94,7 @@ class DhsFrontDoor {
                                           DhsCostReport* cost);
 
   /// Multi-metric count (§4.2): DhsClient::CountMany on the engine's
-  /// network. Fails InvalidArgument, without sending anything, when the
-  /// active fault plan has crash_probability > 0 (the engine's rule).
+  /// network, crash faults included.
   [[nodiscard]] StatusOr<DhsClient::MultiCountResult> CountMany(
       uint64_t origin_node, const std::vector<uint64_t>& metric_ids,
       Rng& rng);

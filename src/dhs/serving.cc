@@ -129,21 +129,15 @@ Status DhsServing::Flush(Rng& rng) {
   }
   // Inserts before counts: a flush's counts observe its inserts, the
   // same order a caller issuing the requests back to back would get.
-  const Status insert_status = FlushInserts(rng);
+  FlushInserts(rng);
   FlushCounts(rng);
   pending_inserts_.clear();
   pending_counts_.clear();
-  return insert_status;
+  return Status::OK();
 }
 
-Status DhsServing::FlushInserts(Rng& rng) {
-  if (pending_inserts_.empty()) return Status::OK();
-  const bool pipelined = config_.pipeline_inserts && door_ != nullptr &&
-                         pending_inserts_.size() > 1;
-
-  // Every insert batch lands in the wave log as its own entry: the
-  // replay path executes them back to back, which is byte-identical to
-  // the merged execution (front_door.h CompiledInsertBatch).
+void DhsServing::FlushInserts(Rng& rng) {
+  // Every insert batch is its own wave and its own wave-log entry.
   for (const PendingInsert& p : pending_inserts_) {
     ServingWave wave;
     wave.kind = ServingWave::kInsertWave;
@@ -152,75 +146,14 @@ Status DhsServing::FlushInserts(Rng& rng) {
     wave.hashes = p.hashes;
     wave_log_.push_back(std::move(wave));
     metrics_.RecordInsertInvalidation();
+    auto result =
+        door_ != nullptr
+            ? door_->InsertBatch(p.origin, p.metric_id, p.hashes, rng)
+            : client_->InsertBatch(p.origin, p.metric_id, p.hashes, rng);
+    ++stats_.insert_waves;
+    metrics_.RecordInsertWave();
+    insert_results_.emplace(p.ticket, std::move(result));
   }
-
-  if (!pipelined) {
-    for (const PendingInsert& p : pending_inserts_) {
-      auto result =
-          door_ != nullptr
-              ? door_->InsertBatch(p.origin, p.metric_id, p.hashes, rng)
-              : client_->InsertBatch(p.origin, p.metric_id, p.hashes, rng);
-      ++stats_.insert_waves;
-      metrics_.RecordInsertWave();
-      insert_results_.emplace(p.ticket, std::move(result));
-    }
-    return Status::OK();
-  }
-
-  // Pipelined hand-off: compile every batch up front (same RNG draws,
-  // same order as sequential execution), run ONE engine batch over the
-  // merged kPut ops, then fold each batch's slice of outcomes back
-  // into its own report.
-  struct Compiled {
-    size_t pending_index;
-    CompiledInsertBatch batch;
-    size_t op_offset = 0;
-  };
-  std::vector<Compiled> compiled;
-  compiled.reserve(pending_inserts_.size());
-  std::vector<ShardOp> merged;
-  for (size_t i = 0; i < pending_inserts_.size(); ++i) {
-    const PendingInsert& p = pending_inserts_[i];
-    auto c = door_->CompileInsertBatch(p.origin, p.metric_id, p.hashes, rng);
-    if (!c.ok()) {
-      insert_results_.emplace(p.ticket, c.status());
-      continue;
-    }
-    Compiled entry{i, std::move(c.value()), merged.size()};
-    merged.insert(merged.end(), entry.batch.ops.begin(),
-                  entry.batch.ops.end());
-    compiled.push_back(std::move(entry));
-  }
-
-  std::vector<ShardOpOutcome> outcomes;
-  if (!merged.empty()) {
-    auto executed = door_->engine()->ExecuteBatch(merged);
-    if (!executed.ok()) {
-      // Engine-level failure (not a per-op fault): every batch of the
-      // wave fails the same way.
-      for (const Compiled& c : compiled) {
-        insert_results_.emplace(pending_inserts_[c.pending_index].ticket,
-                                executed.status());
-      }
-      return executed.status();
-    }
-    outcomes = std::move(executed.value());
-  }
-  ++stats_.insert_waves;
-  metrics_.RecordInsertWave();
-
-  for (const Compiled& c : compiled) {
-    const PendingInsert& p = pending_inserts_[c.pending_index];
-    DhsCostReport cost;
-    const Status folded = door_->FoldInsertOutcomes(
-        c.batch, outcomes.data() + c.op_offset, c.batch.ops.size(), &cost);
-    if (!folded.ok()) {
-      insert_results_.emplace(p.ticket, folded);
-    } else {
-      insert_results_.emplace(p.ticket, cost);
-    }
-  }
-  return Status::OK();
 }
 
 void DhsServing::FlushCounts(Rng& rng) {
@@ -260,7 +193,7 @@ void DhsServing::RunCountWave(const std::vector<size_t>& group, Rng& rng) {
   wave.waiters = group.size();
   wave_log_.push_back(std::move(wave));
 
-  auto result = BackendCount(head.origin, head.metric_ids, rng, options);
+  auto result = client_->CountMany(head.origin, head.metric_ids, rng, options);
   ++stats_.count_waves;
   stats_.coalesced += group.size() - 1;
   metrics_.RecordCountWave();
@@ -331,14 +264,6 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
   metrics_.RecordLim(tuner_.lim());
 }
 
-StatusOr<DhsClient::MultiCountResult> DhsServing::BackendCount(
-    uint64_t origin, const std::vector<uint64_t>& metric_ids, Rng& rng,
-    const DhsCountOptions& options) {
-  return door_ != nullptr
-             ? door_->CountMany(origin, metric_ids, rng, options)
-             : client_->CountMany(origin, metric_ids, rng, options);
-}
-
 StatusOr<DhsClient::MultiCountResult> DhsServing::TakeCount(uint64_t ticket) {
   auto it = count_results_.find(ticket);
   if (it == count_results_.end()) {
@@ -367,8 +292,7 @@ StatusOr<DhsCountResult> DhsServing::Count(uint64_t origin_node,
 StatusOr<DhsClient::MultiCountResult> DhsServing::CountMany(
     uint64_t origin_node, const std::vector<uint64_t>& metric_ids, Rng& rng) {
   const uint64_t ticket = SubmitCount(origin_node, metric_ids);
-  Status s = Flush(rng);
-  (void)s;  // the per-ticket result carries any failure
+  (void)Flush(rng);  // the per-ticket result carries any failure
   return TakeCount(ticket);
 }
 
@@ -377,8 +301,7 @@ StatusOr<DhsCostReport> DhsServing::InsertBatch(
     const std::vector<uint64_t>& item_hashes, Rng& rng) {
   const uint64_t ticket = SubmitInsertBatch(origin_node, metric_id,
                                             item_hashes);
-  Status s = Flush(rng);
-  (void)s;
+  (void)Flush(rng);  // the per-ticket result carries any failure
   return TakeInsert(ticket);
 }
 

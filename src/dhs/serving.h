@@ -1,5 +1,5 @@
 // High-throughput DHS serving layer: the front-end that turns many
-// client requests into few engine waves.
+// client requests into few count waves.
 //
 // Callers submit Count / InsertBatch requests as tickets; Flush
 // executes everything pending in one deterministic pass and fans
@@ -8,13 +8,8 @@
 //   * Coalescing — concurrent counts of the same metric set become ONE
 //     probe wave whose result answers every waiter (hot metrics under
 //     a Zipf-skewed tenant mix are counted once per flush, not once
-//     per request).
-//   * Pipelining — pending insert batches compile to their §3.2 kPut
-//     groups up front and execute as a single engine batch instead of
-//     one interval at a time (sound because kPut ops never read
-//     stores, fault ordinals accumulate across batches, and the
-//     virtual clock is frozen inside a batch — see front_door.h
-//     CompiledInsertBatch).
+//     per request). Insert batches are not merged: each one is its own
+//     wave, the backend's InsertBatch.
 //   * Frontier cache — the backend's memoized flat-bit frontier
 //     (client.h) answers repeat counts from the cached start bit; the
 //     serving layer closes the invalidation loop, invalidating on
@@ -54,9 +49,6 @@ namespace dhs {
 struct DhsServingConfig {
   /// Merge pending counts of the same metric set into one wave.
   bool coalesce_counts = true;
-  /// Merge pending insert batches into one engine batch (front-door
-  /// backends only; the sequential client has no batch hand-off).
-  bool pipeline_inserts = true;
   /// Invalidate the cached frontier of every metric served by a
   /// degraded count wave (gave_up or failed probes): the degradation
   /// is evidence the world changed under the cache.
@@ -133,7 +125,7 @@ struct ServingStats {
   uint64_t count_waves = 0;      // backend CountMany calls issued
   uint64_t coalesced = 0;        // count requests served by another's wave
   uint64_t insert_requests = 0;
-  uint64_t insert_waves = 0;     // engine insert batches issued
+  uint64_t insert_waves = 0;     // backend InsertBatch calls issued
   uint64_t degraded_waves = 0;   // count waves that gave up / skipped probes
   uint64_t invalidations = 0;    // frontier entries dropped by this layer
   uint64_t flushes = 0;
@@ -142,9 +134,9 @@ struct ServingStats {
 class DhsServing {
  public:
   /// The backend (and its network) must outlive the serving layer.
-  /// Exactly one backend: the sharded front door (full pipelining) or
-  /// the sequential client (pipeline_inserts degrades to sequential
-  /// execution — the client has no batch hand-off).
+  /// Exactly one backend: the front door (inserts through its
+  /// executor) or the sequential client. Counts always run on the
+  /// client, the front door's own for that backend.
   static StatusOr<DhsServing> Create(DhsFrontDoor* front_door,
                                      const DhsServingConfig& config);
   static StatusOr<DhsServing> Create(DhsClient* client,
@@ -152,7 +144,8 @@ class DhsServing {
 
   /// Ticket interface: Submit* enqueues, Flush executes everything
   /// pending (inserts first, then counts), Take* claims a result once
-  /// (a ticket is claimable after the flush that executed it).
+  /// (a ticket is claimable after the flush that executed it). Each
+  /// request's failure lands in its ticket; Flush itself returns OK.
   uint64_t SubmitCount(uint64_t origin_node, std::vector<uint64_t> metric_ids);
   uint64_t SubmitInsertBatch(uint64_t origin_node, uint64_t metric_id,
                              std::vector<uint64_t> item_hashes);
@@ -212,7 +205,7 @@ class DhsServing {
     std::vector<uint64_t> hashes;
   };
 
-  [[nodiscard]] Status FlushInserts(Rng& rng);
+  void FlushInserts(Rng& rng);
   void FlushCounts(Rng& rng);
   /// Executes one coalesced count wave and fans the result out to
   /// `group` (ticket indices into pending_counts_).
@@ -220,12 +213,6 @@ class DhsServing {
   /// Tuner + invalidate-on-fault bookkeeping after a completed wave.
   void ObserveCountWave(const PendingCount& head,
                         const DhsClient::MultiCountResult& result);
-
-  /// Counts through the front door when there is one (it keeps the
-  /// engine's crash-fault rule), else through the client.
-  [[nodiscard]] StatusOr<DhsClient::MultiCountResult> BackendCount(
-      uint64_t origin, const std::vector<uint64_t>& metric_ids, Rng& rng,
-      const DhsCountOptions& options);
 
   DhsFrontDoor* door_;  // null for the sequential backend
   DhsClient* client_;   // config, network, mapping and frontier cache

@@ -58,13 +58,6 @@ class ChordNetwork : public DhtNetwork {
   /// table stale without touching it.
   void OnMembershipChange() override { ++epoch_; }
 
-  /// Pre-sizes tables_ to the ring so sharded routing never resizes the
-  /// shared vector; each row is then only written by the worker owning
-  /// its node (stale rows reset in place on first use).
-  void PrepareShardedRouting() override {
-    if (tables_.size() < ring().size()) tables_.resize(ring().size());
-  }
-
   /// Recomputes every epoch-fresh finger table entry brute-force against
   /// the ring index: predecessor pointer and each resolved finger level
   /// must match successor(n + 2^i). Stale-epoch rows are ignored (they

@@ -60,13 +60,6 @@ class KademliaNetwork : public DhtNetwork {
   /// table stale without touching it (Chord's finger-table scheme).
   void OnMembershipChange() override { ++epoch_; }
 
-  /// Pre-sizes tables_ to the ring so sharded routing never resizes the
-  /// shared vector; each row is then only written by the worker owning
-  /// its node (stale rows reset in place on first use).
-  void PrepareShardedRouting() override {
-    if (tables_.size() < ring().size()) tables_.resize(ring().size());
-  }
-
   /// Recomputes every epoch-fresh cached bucket contact brute-force: a
   /// kContact slot must hold the ring index of the XOR-closest block
   /// member and a kEmptyBlock slot must correspond to a block with no

@@ -35,7 +35,7 @@
 //   kVectorResp  3   -                                 metric 8 | vector 2 x v             (=8+2v, ProbeResponseBytes)
 //   kPut         4   dst_key 8 | metric 8 | expiry 8   tuple 8 x n                         (=8n, TupleBytes x n)
 //   kAck         5   code 1 | node 8 | hops 2          -                                   (=0; acks ride for free, §5.2)
-//   kMigrate     6   count 4                           records (shard hand-off; uncharged)
+//   kMigrate     6   count 4                           records (churn hand-off; uncharged)
 //   kCountReq    7   -                                 metric 8 x n
 //   kCountResp   8   unresolved 4                      entries (estimate 8 | m 2 | obs 2 x m)
 //   kSketch      9   family 1                          estimator Serialize() bytes
@@ -79,7 +79,7 @@ enum class FrameType : uint8_t {
   kVectorResponse = 3,  // the vector ids holding a set bit (reply)
   kPut = 4,             // insert a group of DHS tuples at a key
   kAck = 5,             // generic delivery acknowledgement (reply)
-  kMigrate = 6,         // shard / churn hand-off of raw store records
+  kMigrate = 6,         // churn hand-off of raw store records
   kCountRequest = 7,    // front-door count for a batch of metrics
   kCountResponse = 8,   // estimates + raw observables (reply)
   kSketch = 9,          // serialized estimator payload (family-tagged)
@@ -201,7 +201,7 @@ std::string EncodeAck(const AckFrame& frame);
 StatusOr<AckFrame> DecodeAck(std::string_view wire);
 
 // ---------------------------------------------------------------------------
-// kMigrate — raw store-record hand-off for churn / shard moves. Record:
+// kMigrate — raw store-record hand-off for churn moves. Record:
 // dht_key 8 | key_len 2 | key bytes (StoreKey::ToBytes) | expires 8 |
 // value_len 4 | value bytes. Migration traffic is uncharged in the
 // simulator (it models background repair, not query cost), so the whole

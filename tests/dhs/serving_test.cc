@@ -1,6 +1,6 @@
 // Serving-layer suite (dhs/serving.h): the headline guarantee is that
-// every answer the serving layer produces — coalesced, pipelined,
-// frontier-cached, lim-tuned — is byte-identical to the unoptimized
+// every answer the serving layer produces — coalesced, frontier-cached,
+// lim-tuned — is byte-identical to the unoptimized
 // path under fixed seeds. The tests pin that via wave-log replay
 // (serving world vs a twin plain world with identical seeds), plus the
 // frontier-cache invalidation contract, the lim tuner's convergence to
@@ -349,8 +349,8 @@ TEST_F(ServingClientTest, MixedFlushRunsInsertsBeforeCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined inserts through the sharded front door: one engine batch,
-// byte-identical to sequential per-batch execution.
+// Inserts served through the front door: one InsertBatch per request,
+// byte-identical to the same calls made back to back.
 
 class ServingFrontDoorTest : public ::testing::Test {
  protected:
@@ -367,12 +367,12 @@ class ServingFrontDoorTest : public ::testing::Test {
   }
 
   struct World {
-    World(const DhsConfig& config, int shards) : net(FastOverlay()) {
+    explicit World(const DhsConfig& config) : net(FastOverlay()) {
       Rng rng(0x5eed);
       std::vector<uint64_t> ids;
       for (int i = 0; i < kNodes; ++i) ids.push_back(rng.Next());
       CHECK(net.BulkAddNodes(std::move(ids)) == static_cast<size_t>(kNodes));
-      engine = std::make_unique<ShardedNetwork>(&net, shards);
+      engine = std::make_unique<ShardedNetwork>(&net, 1);
       auto created = DhsFrontDoor::Create(engine.get(), config);
       CHECK_OK(created);
       door = std::make_unique<DhsFrontDoor>(std::move(created.value()));
@@ -383,7 +383,7 @@ class ServingFrontDoorTest : public ::testing::Test {
   };
 
   /// Five insert batches over three metrics, as submitted to serving
-  /// (pipelined) or executed back to back (plain).
+  /// or executed back to back (plain).
   static std::vector<std::pair<uint64_t, std::vector<uint64_t>>> Batches() {
     std::vector<std::pair<uint64_t, std::vector<uint64_t>>> batches;
     MixHasher hasher(71);
@@ -398,62 +398,43 @@ class ServingFrontDoorTest : public ::testing::Test {
 };
 
 TEST_F(ServingFrontDoorTest, PipelinedInsertsMatchSequentialExecution) {
-  for (int shards : {1, 4}) {
-    World serving_world(Config(), shards);
-    World plain_world(Config(), shards);
-    auto serving =
-        DhsServing::Create(serving_world.door.get(), DhsServingConfig{});
-    ASSERT_TRUE(serving.ok());
-
-    const auto batches = Batches();
-    Rng pick(3);
-    std::vector<uint64_t> origins;
-    for (size_t i = 0; i < batches.size(); ++i) {
-      origins.push_back(serving_world.net.RandomNode(pick));
-    }
-
-    std::vector<uint64_t> tickets;
-    for (size_t i = 0; i < batches.size(); ++i) {
-      tickets.push_back(serving->SubmitInsertBatch(origins[i],
-                                                   batches[i].first,
-                                                   batches[i].second));
-    }
-    Rng serve_rng(44);
-    ASSERT_TRUE(serving->Flush(serve_rng).ok());
-    EXPECT_EQ(serving->stats().insert_waves, 1u)
-        << "pipelining must merge all batches into one engine wave";
-
-    // Sequential twin: same batches, same order, same seed.
-    Rng plain_rng(44);
-    for (size_t i = 0; i < batches.size(); ++i) {
-      auto cost = plain_world.door->InsertBatch(origins[i], batches[i].first,
-                                                batches[i].second, plain_rng);
-      ASSERT_TRUE(cost.ok());
-      auto served = serving->TakeInsert(tickets[i]);
-      ASSERT_TRUE(served.ok());
-      ExpectSameCost(served.value(), cost.value(),
-                     "batch " + std::to_string(i) + " shards " +
-                         std::to_string(shards));
-    }
-    EXPECT_EQ(WorldDigest(serving_world.net), WorldDigest(plain_world.net))
-        << "shards " << shards;
-  }
-}
-
-TEST_F(ServingFrontDoorTest, PipeliningOffExecutesBatchesSequentially) {
-  World world(Config(), 2);
-  DhsServingConfig config;
-  config.pipeline_inserts = false;
-  auto serving = DhsServing::Create(world.door.get(), config);
+  World serving_world(Config());
+  World plain_world(Config());
+  auto serving =
+      DhsServing::Create(serving_world.door.get(), DhsServingConfig{});
   ASSERT_TRUE(serving.ok());
+
   const auto batches = Batches();
   Rng pick(3);
-  for (const auto& [metric, items] : batches) {
-    serving->SubmitInsertBatch(world.net.RandomNode(pick), metric, items);
+  std::vector<uint64_t> origins;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    origins.push_back(serving_world.net.RandomNode(pick));
   }
-  Rng rng(44);
-  ASSERT_TRUE(serving->Flush(rng).ok());
-  EXPECT_EQ(serving->stats().insert_waves, batches.size());
+
+  std::vector<uint64_t> tickets;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    tickets.push_back(serving->SubmitInsertBatch(origins[i],
+                                                 batches[i].first,
+                                                 batches[i].second));
+  }
+  Rng serve_rng(44);
+  ASSERT_TRUE(serving->Flush(serve_rng).ok());
+  EXPECT_EQ(serving->stats().insert_waves, batches.size())
+      << "every insert request is its own InsertBatch";
+
+  // Back-to-back twin: same batches, same order, same seed.
+  Rng plain_rng(44);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    auto cost = plain_world.door->InsertBatch(origins[i], batches[i].first,
+                                              batches[i].second, plain_rng);
+    ASSERT_TRUE(cost.ok());
+    auto served = serving->TakeInsert(tickets[i]);
+    ASSERT_TRUE(served.ok());
+    ExpectSameCost(served.value(), cost.value(),
+                   "batch " + std::to_string(i));
+  }
+  EXPECT_EQ(serve_rng.Next(), plain_rng.Next()) << "RNG draws diverged";
+  EXPECT_EQ(WorldDigest(serving_world.net), WorldDigest(plain_world.net));
 }
 
 // ---------------------------------------------------------------------------
@@ -661,11 +642,11 @@ TEST_F(FrontierInvalidationTest, FaultInvalidationIsOptional) {
   ASSERT_TRUE(exercised);
 }
 
-// The sharded front door honours the same cache semantics: a repeat
-// count starts at the cached frontier, inserts through the door
-// invalidate, and the serving signal reaches the door's cache.
+// The front door honours the same cache semantics: a repeat count
+// starts at the cached frontier, inserts through the door invalidate,
+// and the serving signal reaches the door's cache.
 TEST_F(FrontierInvalidationTest, FrontDoorFrontierServedAndInvalidated) {
-  ShardedNetwork engine(&net_, 2);
+  ShardedNetwork engine(&net_, 1);
   auto door = DhsFrontDoor::Create(&engine, Config());
   ASSERT_TRUE(door.ok());
   auto serving = DhsServing::Create(&door.value(), DhsServingConfig{});
@@ -681,7 +662,7 @@ TEST_F(FrontierInvalidationTest, FrontDoorFrontierServedAndInvalidated) {
   EXPECT_EQ(repeat->observables[0], kLowBit);
 
   // Out-of-band growth through a second front door + signal.
-  ShardedNetwork other_engine(&net_, 2);
+  ShardedNetwork other_engine(&net_, 1);
   auto other = DhsFrontDoor::Create(&other_engine, Config());
   ASSERT_TRUE(other.ok());
   ASSERT_TRUE(other

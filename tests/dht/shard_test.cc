@@ -1,16 +1,13 @@
-// Sharded-engine tests: shard-plan bookkeeping under churn at shard
-// boundaries, record migration and replica placement across shard
-// boundaries, fault injection on cross-shard messages, and the central
-// determinism contract — a fixed-seed scenario produces byte-identical
-// observables (stores, loads, stats, traces, estimates) at 1, 4 and 8
-// shards. The 1-shard engine runs inline on the calling thread, so the
-// multi-shard runs are compared against genuinely unthreaded execution.
+// Insert-engine tests: the inline kPut executor behind DhsFrontDoor.
 //
-// Front-door counts run the sequential client's Alg. 1, so on twin
-// worlds they return exactly what a plain DhsClient returns, cost
-// report included.
+// A pinned fixed-seed scenario (inserts, a faulted segment, churn and
+// mass expiry through DhtNetwork) must reproduce the checked-in golden
+// snapshot byte for byte. Front-door counts run the sequential client's
+// Alg. 1, so on twin worlds they return exactly what a plain DhsClient
+// returns, crash faults included; without faults, front-door inserts
+// equal the client's InsertBatch down to every store record.
 //
-// The golden sharded trace lives next to the other goldens; regenerate
+// The golden snapshot lives next to the other goldens; regenerate
 // after an intentional change with:
 //
 //   DHS_REGEN_GOLDEN=1 ./build/tests/shard_test --gtest_filter='ShardGolden*'
@@ -23,9 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -86,14 +81,11 @@ DhsConfig ScenarioConfig() {
   return config;
 }
 
-/// The pinned fixed-seed scenario, observable-for-observable. Must be
-/// a pure function of `shards` modulo the determinism contract: the
-/// returned string is expected to be byte-identical for any K.
-template <typename Network>
-std::string RunScenario(int shards) {
+/// The pinned fixed-seed scenario, observable-for-observable.
+std::string RunGoldenScenario() {
   OverlayConfig overlay;
   overlay.hasher = "mix";
-  Network net(overlay);
+  ChordNetwork net(overlay);
   Tracer tracer;
   net.AttachTracer(&tracer);
   MetricsRegistry registry;
@@ -104,7 +96,7 @@ std::string RunScenario(int shards) {
   for (int i = 0; i < 64; ++i) ids.push_back(rng.Next());
   EXPECT_EQ(net.BulkAddNodes(std::move(ids)), 64u);
 
-  ShardedNetwork engine(&net, shards);
+  ShardedNetwork engine(&net, 1);
   auto fd = DhsFrontDoor::Create(&engine, ScenarioConfig());
   EXPECT_TRUE(fd.ok());
 
@@ -116,7 +108,7 @@ std::string RunScenario(int shards) {
     auto cost = fd->InsertBatch(net.RandomNode(rng), metric, batch, rng);
     EXPECT_TRUE(cost.ok());
     if (cost.ok()) AppendCost(os, *cost);
-    engine.AdvanceClock(2);
+    net.AdvanceClock(2);
   }
   auto count = fd->Count(net.RandomNode(rng), metric, rng);
   EXPECT_TRUE(count.ok());
@@ -128,8 +120,8 @@ std::string RunScenario(int shards) {
     AppendCost(os, count->cost);
   }
 
-  // Faulted segment: drops and timeouts land on cross-shard lookups
-  // and direct hops, driving the retry/degradation paths.
+  // Faulted segment: drops and timeouts land on lookups and direct
+  // hops, driving the retry/degradation paths.
   FaultConfig faults;
   faults.drop_probability = 0.2;
   faults.timeout_probability = 0.1;
@@ -149,11 +141,11 @@ std::string RunScenario(int shards) {
   }
   net.ClearFaultPlan();
 
-  // Churn through the engine: graceful leave (records migrate, maybe
-  // across shards), a join, and an abrupt failure.
-  EXPECT_TRUE(engine.LeaveNode(net.RandomNode(rng)).ok());
-  EXPECT_TRUE(engine.JoinNode(rng.Next()).ok());
-  EXPECT_TRUE(engine.CrashNode(net.RandomNode(rng)).ok());
+  // Churn between batches: graceful leave (records migrate), a join,
+  // and an abrupt failure.
+  EXPECT_TRUE(net.RemoveNode(net.RandomNode(rng)).ok());
+  EXPECT_TRUE(net.AddNode(rng.Next()).ok());
+  EXPECT_TRUE(net.FailNode(net.RandomNode(rng)).ok());
   auto after_churn = fd->Count(net.RandomNode(rng), metric, rng);
   EXPECT_TRUE(after_churn.ok());
   if (after_churn.ok()) {
@@ -162,9 +154,8 @@ std::string RunScenario(int shards) {
     AppendCost(os, after_churn->cost);
   }
 
-  // Mass expiry through the parallel per-shard expiry path, then a
-  // count over the emptied world.
-  engine.AdvanceClock(256);
+  // Mass expiry, then a count over the emptied world.
+  net.AdvanceClock(256);
   auto empty = fd->Count(net.RandomNode(rng), metric, rng);
   EXPECT_TRUE(empty.ok());
   if (empty.ok()) {
@@ -191,26 +182,8 @@ void ExpectByteIdentical(const std::string& a, const std::string& b,
          << b.substr(offset > 40 ? offset - 40 : 0, 80) << "...";
 }
 
-TEST(ShardDeterminismTest, ChordByteIdenticalAt148Shards) {
-  const std::string one = RunScenario<ChordNetwork>(1);
-  const std::string four = RunScenario<ChordNetwork>(4);
-  const std::string eight = RunScenario<ChordNetwork>(8);
-  ASSERT_FALSE(one.empty());
-  ExpectByteIdentical(one, four, "1-shard vs 4-shard run");
-  ExpectByteIdentical(one, eight, "1-shard vs 8-shard run");
-}
-
-TEST(ShardDeterminismTest, KademliaByteIdenticalAt148Shards) {
-  const std::string one = RunScenario<KademliaNetwork>(1);
-  const std::string four = RunScenario<KademliaNetwork>(4);
-  const std::string eight = RunScenario<KademliaNetwork>(8);
-  ASSERT_FALSE(one.empty());
-  ExpectByteIdentical(one, four, "1-shard vs 4-shard run");
-  ExpectByteIdentical(one, eight, "1-shard vs 8-shard run");
-}
-
 TEST(ShardGoldenTest, MatchesCheckedInGolden) {
-  const std::string snapshot = RunScenario<ChordNetwork>(4);
+  const std::string snapshot = RunGoldenScenario();
   if (std::getenv("DHS_REGEN_GOLDEN") != nullptr) {
     std::ofstream os(kGoldenPath, std::ios::binary);
     ASSERT_TRUE(os.good()) << "cannot write " << kGoldenPath;
@@ -223,186 +196,7 @@ TEST(ShardGoldenTest, MatchesCheckedInGolden) {
       << " missing — regenerate with DHS_REGEN_GOLDEN=1 (see file header)";
   std::ostringstream buffer;
   buffer << is.rdbuf();
-  ExpectByteIdentical(snapshot, buffer.str(), "sharded snapshot vs golden");
-}
-
-TEST(ShardChurnTest, JoinAndLeaveOnShardBoundary) {
-  ChordNetwork net;
-  Rng rng(0x0b0e);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 32; ++i) ids.push_back(rng.Next());
-  ASSERT_EQ(net.BulkAddNodes(std::move(ids)), 32u);
-  ShardedNetwork engine(&net, 4);
-
-  // Nodes exactly at (and just below) a shard's lower bound: ownership
-  // of the two is split between adjacent shards.
-  const uint64_t boundary = net.shard_plan().LowerBound(2);
-  ASSERT_EQ(net.shard_plan().ShardOf(boundary), 2);
-  ASSERT_EQ(net.shard_plan().ShardOf(boundary - 1), 1);
-  ASSERT_TRUE(engine.JoinNode(boundary).ok());
-  ASSERT_TRUE(engine.JoinNode(boundary - 1).ok());
-  EXPECT_TRUE(net.AuditFull().ok());
-
-  // A batch after boundary churn routes and serves normally.
-  std::vector<ShardOp> ops;
-  for (int i = 0; i < 8; ++i) {
-    ShardOp op;
-    op.kind = ShardOp::kLookup;
-    op.origin = boundary;
-    op.key = rng.Next();
-    ops.push_back(op);
-  }
-  auto outcomes = engine.ExecuteBatch(ops);
-  ASSERT_TRUE(outcomes.ok());
-  for (const ShardOpOutcome& o : *outcomes) {
-    EXPECT_TRUE(o.status.ok());
-    EXPECT_EQ(static_cast<uint64_t>(o.lookup_hops), o.delta.hops);
-    // Conservation: every issued message is a lookup or a direct hop.
-    EXPECT_EQ(o.delta.messages,
-              static_cast<uint64_t>(o.lookups_issued + o.direct_issued));
-  }
-
-  ASSERT_TRUE(engine.LeaveNode(boundary).ok());
-  ASSERT_TRUE(engine.LeaveNode(boundary - 1).ok());
-  EXPECT_TRUE(net.AuditFull().ok());
-}
-
-TEST(ShardChurnTest, MigrationCrossesShards) {
-  ChordNetwork net;
-  Rng rng(0x316);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 24; ++i) ids.push_back(rng.Next());
-  ASSERT_EQ(net.BulkAddNodes(std::move(ids)), 24u);
-  ShardedNetwork engine(&net, 4);
-  DhsConfig config = ScenarioConfig();
-  config.ttl_ticks = kNoExpiry;
-  auto fd = DhsFrontDoor::Create(&engine, config);
-  ASSERT_TRUE(fd.ok());
-
-  std::vector<uint64_t> batch;
-  for (int i = 0; i < 64; ++i) batch.push_back(rng.Next());
-  ASSERT_TRUE(fd->InsertBatch(net.RandomNode(rng), 3, batch, rng).ok());
-  auto before = fd->Count(net.RandomNode(rng), 3, rng);
-  ASSERT_TRUE(before.ok());
-  const size_t storage = net.TotalStorageBytes();
-  ASSERT_GT(storage, 0u);
-
-  // Joins spread across the ring: graceful migration re-homes records,
-  // frequently across shard boundaries; nothing may be lost and the
-  // count must still find the same observables.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.JoinNode(rng.Next()).ok());
-  }
-  EXPECT_TRUE(net.AuditFull().ok());
-  EXPECT_EQ(net.TotalStorageBytes(), storage);
-  auto after = fd->Count(net.RandomNode(rng), 3, rng);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(before->observables, after->observables);
-}
-
-TEST(ShardPutTest, ReplicaPlacementSpansShards) {
-  ChordNetwork net;
-  Rng rng(0x44);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 48; ++i) ids.push_back(rng.Next());
-  ASSERT_EQ(net.BulkAddNodes(std::move(ids)), 48u);
-  ShardedNetwork engine(&net, 8);
-  DhsConfig config = ScenarioConfig();
-  config.replication = 3;
-  auto fd = DhsFrontDoor::Create(&engine, config);
-  ASSERT_TRUE(fd.ok());
-
-  std::vector<uint64_t> batch;
-  for (int i = 0; i < 32; ++i) batch.push_back(rng.Next());
-  auto cost = fd->InsertBatch(net.RandomNode(rng), 5, batch, rng);
-  ASSERT_TRUE(cost.ok());
-  EXPECT_EQ(cost->replicas_written, cost->replicas_requested);
-  EXPECT_TRUE(net.AuditFull().ok());
-
-  // With 48 nodes over 8 shards, some replica set must straddle a
-  // shard boundary: count the holders of each record's shard set.
-  bool spans = false;
-  std::map<std::pair<uint64_t, int>, std::set<int>> holder_shards;
-  for (uint64_t id : net.NodeIds()) {
-    const NodeStore* store = net.StoreAt(id);
-    ASSERT_NE(store, nullptr);
-    store->ForEach(net.now(), [&](const StoreKey& key, const StoreRecord&) {
-      holder_shards[{key.metric_id(), key.bit() * 1000 + key.vector_id()}]
-          .insert(net.shard_plan().ShardOf(id));
-    });
-  }
-  for (const auto& [record, shards] : holder_shards) {
-    if (shards.size() > 1) spans = true;
-  }
-  EXPECT_TRUE(spans) << "no replica set crossed a shard boundary";
-}
-
-TEST(ShardFaultTest, CrossShardFaultsMatchSingleShard) {
-  auto run = [](int shards) {
-    ChordNetwork net;
-    Rng rng(0xfa17);
-    std::vector<uint64_t> ids;
-    for (int i = 0; i < 40; ++i) ids.push_back(rng.Next());
-    EXPECT_EQ(net.BulkAddNodes(std::move(ids)), 40u);
-    ShardedNetwork engine(&net, shards);
-    auto fd = DhsFrontDoor::Create(&engine, ScenarioConfig());
-    EXPECT_TRUE(fd.ok());
-    FaultConfig faults;
-    faults.drop_probability = 0.25;
-    faults.timeout_probability = 0.15;
-    faults.seed = 31;
-    EXPECT_TRUE(net.SetFaultPlan(faults).ok());
-    std::vector<uint64_t> batch;
-    for (int i = 0; i < 32; ++i) batch.push_back(rng.Next());
-    DhsCostReport insert_cost;
-    auto cost = fd->InsertBatch(net.RandomNode(rng), 11, batch, rng);
-    if (cost.ok()) insert_cost = *cost;
-    auto count = fd->Count(net.RandomNode(rng), 11, rng);
-    std::ostringstream os;
-    AppendCost(os, insert_cost);
-    if (count.ok()) AppendCost(os, count->cost);
-    AppendNetwork(os, net);
-    return std::make_pair(os.str(), insert_cost);
-  };
-  auto [one, cost1] = run(1);
-  auto [four, cost4] = run(4);
-  // The fault rates are high enough that retries and degradation
-  // actually fire — otherwise this test would pass vacuously.
-  EXPECT_GT(cost1.retries, 0);
-  ExpectByteIdentical(one, four, "faulted 1-shard vs 4-shard run");
-}
-
-TEST(ShardFaultTest, CrashFaultsAreRejected) {
-  ChordNetwork net;
-  Rng rng(0xdead);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 8; ++i) ids.push_back(rng.Next());
-  ASSERT_EQ(net.BulkAddNodes(std::move(ids)), 8u);
-  ShardedNetwork engine(&net, 4);
-  FaultConfig faults;
-  faults.crash_probability = 0.1;
-  faults.seed = 1;
-  ASSERT_TRUE(net.SetFaultPlan(faults).ok());
-  std::vector<ShardOp> ops(1);
-  ops[0].origin = net.NodeIds()[0];
-  ops[0].key = 42;
-  auto outcomes = engine.ExecuteBatch(ops);
-  ASSERT_FALSE(outcomes.ok());
-  EXPECT_TRUE(outcomes.status().IsInvalidArgument());
-
-  // A front-door count is refused the same way, before it sends
-  // anything: no node crashes and no message is charged.
-  auto door = DhsFrontDoor::Create(&engine, ScenarioConfig());
-  ASSERT_TRUE(door.ok());
-  const std::vector<uint64_t> members = net.NodeIds();
-  const MessageStats before = net.stats();
-  auto count = door->CountMany(members[0], {7}, rng);
-  ASSERT_FALSE(count.ok());
-  EXPECT_TRUE(count.status().IsInvalidArgument());
-  EXPECT_EQ(net.NodeIds(), members);
-  EXPECT_EQ(net.stats().messages, before.messages);
-  EXPECT_EQ(net.stats().hops, before.hops);
-  EXPECT_EQ(net.stats().bytes, before.bytes);
+  ExpectByteIdentical(snapshot, buffer.str(), "snapshot vs golden");
 }
 
 /// Every field of a count result at full precision: two results render
@@ -423,6 +217,101 @@ std::string DescribeCount(const DhsClient::MultiCountResult& result) {
   return os.str();
 }
 
+/// A `nodes`-node overlay with IDs drawn from `rng`.
+std::unique_ptr<DhtNetwork> MakeOverlay(bool kademlia, int nodes, Rng& rng) {
+  OverlayConfig overlay;
+  overlay.hasher = "mix";
+  std::unique_ptr<DhtNetwork> net;
+  if (kademlia) {
+    net = std::make_unique<KademliaNetwork>(overlay);
+  } else {
+    net = std::make_unique<ChordNetwork>(overlay);
+  }
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < nodes; ++i) ids.push_back(rng.Next());
+  EXPECT_EQ(net->BulkAddNodes(std::move(ids)), static_cast<size_t>(nodes));
+  return net;
+}
+
+/// A 64-node world holding two metrics, populated through a plain
+/// client: two calls build identical worlds. Small batches from random
+/// origins spread each bit's tuples over its interval (one big batch
+/// would put them on one node each, which lim-3 probes mostly miss).
+std::unique_ptr<DhtNetwork> MakeWorld(bool kademlia, const DhsConfig& config) {
+  Rng rng(0x7e1);
+  std::unique_ptr<DhtNetwork> net = MakeOverlay(kademlia, 64, rng);
+  auto client = DhsClient::Create(net.get(), config);
+  EXPECT_TRUE(client.ok());
+  for (uint64_t metric : {uint64_t{1}, uint64_t{2}}) {
+    for (uint64_t batch = 0; batch < 40 * metric; ++batch) {
+      std::vector<uint64_t> items;
+      for (int i = 0; i < 8; ++i) items.push_back(rng.Next());
+      EXPECT_TRUE(
+          client->InsertBatch(net->RandomNode(rng), metric, items, rng).ok());
+    }
+  }
+  return net;
+}
+
+TEST(ShardFaultTest, CrashFaultsAreRejected) {
+  ChordNetwork net;
+  Rng rng(0xdead);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(rng.Next());
+  ASSERT_EQ(net.BulkAddNodes(std::move(ids)), 8u);
+  ShardedNetwork engine(&net, 1);
+  FaultConfig faults;
+  faults.crash_probability = 0.1;
+  faults.seed = 1;
+  ASSERT_TRUE(net.SetFaultPlan(faults).ok());
+  std::vector<ShardOp> ops(1);
+  ops[0].origin = net.NodeIds()[0];
+  ops[0].key = 42;
+  auto outcomes = engine.ExecuteBatch(ops);
+  ASSERT_FALSE(outcomes.ok());
+  EXPECT_TRUE(outcomes.status().IsInvalidArgument());
+
+  // Counts are not refused: under the same crash plan, a front-door
+  // count crashes the same nodes and returns the same answer as a
+  // plain client's.
+  DhsConfig config = ScenarioConfig();
+  config.ttl_ticks = kNoExpiry;
+  std::unique_ptr<DhtNetwork> door_net = MakeWorld(false, config);
+  std::unique_ptr<DhtNetwork> client_net = MakeWorld(false, config);
+  ShardedNetwork door_engine(door_net.get(), 1);
+  auto door = DhsFrontDoor::Create(&door_engine, config);
+  ASSERT_TRUE(door.ok());
+  auto client = DhsClient::Create(client_net.get(), config);
+  ASSERT_TRUE(client.ok());
+  faults.crash_probability = 0.05;
+  ASSERT_TRUE(door_net->SetFaultPlan(faults).ok());
+  ASSERT_TRUE(client_net->SetFaultPlan(faults).ok());
+  Rng door_rng(0xc4a5);
+  Rng client_rng(0xc4a5);
+  for (int round = 0; round < 4; ++round) {
+    auto via_door = door->CountMany(door_net->RandomNode(door_rng), {1, 2},
+                                    door_rng);
+    auto via_client = client->CountMany(client_net->RandomNode(client_rng),
+                                        {1, 2}, client_rng);
+    ASSERT_EQ(via_door.ok(), via_client.ok()) << "round " << round;
+    if (via_door.ok()) {
+      EXPECT_EQ(DescribeCount(*via_door), DescribeCount(*via_client))
+          << "round " << round;
+    } else {
+      EXPECT_EQ(via_door.status().ToString(), via_client.status().ToString());
+    }
+  }
+  EXPECT_FALSE(door_net->crash_log().empty()) << "no crash fault fired";
+  EXPECT_EQ(door_net->crash_log(), client_net->crash_log());
+  EXPECT_EQ(door_net->NodeIds(), client_net->NodeIds());
+  std::ostringstream door_world;
+  std::ostringstream client_world;
+  AppendNetwork(door_world, *door_net);
+  AppendNetwork(client_world, *client_net);
+  ExpectByteIdentical(door_world.str(), client_world.str(),
+                      "front-door vs client world under crash faults");
+}
+
 struct TwinCase {
   std::string name;
   bool kademlia;
@@ -432,40 +321,7 @@ struct TwinCase {
 // Keeps the listed test names stable (the default prints raw bytes).
 void PrintTo(const TwinCase& param, std::ostream* os) { *os << param.name; }
 
-class FrontDoorTwinTest : public ::testing::TestWithParam<TwinCase> {
- protected:
-  /// A 64-node world holding two metrics, populated through a plain
-  /// client: two calls build identical worlds. Small batches from
-  /// random origins spread each bit's tuples over its interval (one
-  /// big batch would put them on one node each, which lim-3 probes
-  /// mostly miss).
-  static std::unique_ptr<DhtNetwork> MakeWorld(bool kademlia,
-                                               const DhsConfig& config) {
-    OverlayConfig overlay;
-    overlay.hasher = "mix";
-    std::unique_ptr<DhtNetwork> net;
-    if (kademlia) {
-      net = std::make_unique<KademliaNetwork>(overlay);
-    } else {
-      net = std::make_unique<ChordNetwork>(overlay);
-    }
-    Rng rng(0x7e1);
-    std::vector<uint64_t> ids;
-    for (int i = 0; i < 64; ++i) ids.push_back(rng.Next());
-    EXPECT_EQ(net->BulkAddNodes(std::move(ids)), 64u);
-    auto client = DhsClient::Create(net.get(), config);
-    EXPECT_TRUE(client.ok());
-    for (uint64_t metric : {uint64_t{1}, uint64_t{2}}) {
-      for (uint64_t batch = 0; batch < 40 * metric; ++batch) {
-        std::vector<uint64_t> items;
-        for (int i = 0; i < 8; ++i) items.push_back(rng.Next());
-        EXPECT_TRUE(
-            client->InsertBatch(net->RandomNode(rng), metric, items, rng).ok());
-      }
-    }
-    return net;
-  }
-};
+class FrontDoorTwinTest : public ::testing::TestWithParam<TwinCase> {};
 
 TEST_P(FrontDoorTwinTest, CountManyEqualsPlainClient) {
   const TwinCase& param = GetParam();
@@ -475,7 +331,7 @@ TEST_P(FrontDoorTwinTest, CountManyEqualsPlainClient) {
   config.frontier_cache = true;
   std::unique_ptr<DhtNetwork> door_net = MakeWorld(param.kademlia, config);
   std::unique_ptr<DhtNetwork> client_net = MakeWorld(param.kademlia, config);
-  ShardedNetwork engine(door_net.get(), 4);
+  ShardedNetwork engine(door_net.get(), 1);
   auto door = DhsFrontDoor::Create(&engine, config);
   ASSERT_TRUE(door.ok());
   auto client = DhsClient::Create(client_net.get(), config);
@@ -499,6 +355,76 @@ TEST_P(FrontDoorTwinTest, CountManyEqualsPlainClient) {
   EXPECT_EQ(door_rng.Next(), client_rng.Next()) << "RNG draws diverged";
   EXPECT_EQ(door_net->stats().messages, client_net->stats().messages);
   EXPECT_EQ(door_net->stats().bytes, client_net->stats().bytes);
+}
+
+// Without faults, the executor's kPut path is the client's StoreTuple:
+// batch for batch the cost reports, RNG draws, message stats, per-node
+// loads and stored records (expiries included) agree, and so do the
+// counts that follow.
+TEST_P(FrontDoorTwinTest, InsertBatchEqualsPlainClient) {
+  const TwinCase& param = GetParam();
+  for (int replication = 1; replication <= 3; ++replication) {
+    for (uint64_t ttl : {kNoExpiry, uint64_t{48}}) {
+      SCOPED_TRACE("replication " + std::to_string(replication) + " ttl " +
+                   std::to_string(ttl));
+      DhsConfig config = ScenarioConfig();
+      config.m = 16;  // HyperLogLog's minimum
+      config.estimator = param.estimator;
+      config.replication = replication;
+      config.ttl_ticks = ttl;
+      Rng door_ids(0x1d5);
+      Rng client_ids(0x1d5);
+      std::unique_ptr<DhtNetwork> door_net =
+          MakeOverlay(param.kademlia, 256, door_ids);
+      std::unique_ptr<DhtNetwork> client_net =
+          MakeOverlay(param.kademlia, 256, client_ids);
+      ShardedNetwork engine(door_net.get(), 1);
+      auto door = DhsFrontDoor::Create(&engine, config);
+      ASSERT_TRUE(door.ok());
+      auto client = DhsClient::Create(client_net.get(), config);
+      ASSERT_TRUE(client.ok());
+
+      Rng traffic(0x7aff1c);
+      Rng door_rng(0xbeef);
+      Rng client_rng(0xbeef);
+      for (int batch = 0; batch < 100; ++batch) {
+        const uint64_t metric = 1 + traffic.UniformU64(3);
+        std::vector<uint64_t> items(1 + traffic.UniformU64(300));
+        for (uint64_t& item : items) item = traffic.Next();
+        auto via_door = door->InsertBatch(door_net->RandomNode(door_rng),
+                                          metric, items, door_rng);
+        auto via_client = client->InsertBatch(
+            client_net->RandomNode(client_rng), metric, items, client_rng);
+        ASSERT_TRUE(via_door.ok());
+        ASSERT_TRUE(via_client.ok());
+        std::ostringstream door_cost;
+        std::ostringstream client_cost;
+        AppendCost(door_cost, *via_door);
+        AppendCost(client_cost, *via_client);
+        ASSERT_EQ(door_cost.str(), client_cost.str()) << "batch " << batch;
+        if (ttl != kNoExpiry && batch % 10 == 9) {
+          const uint64_t ticks = 1 + traffic.UniformU64(8);
+          door_net->AdvanceClock(ticks);
+          client_net->AdvanceClock(ticks);
+        }
+      }
+      EXPECT_EQ(door_rng.Next(), client_rng.Next()) << "RNG draws diverged";
+      std::ostringstream door_world;
+      std::ostringstream client_world;
+      AppendNetwork(door_world, *door_net);
+      AppendNetwork(client_world, *client_net);
+      ExpectByteIdentical(door_world.str(), client_world.str(),
+                          "front-door vs client world");
+
+      auto door_count = door->CountMany(door_net->RandomNode(door_rng),
+                                        {1, 2, 3}, door_rng);
+      auto client_count = client->CountMany(
+          client_net->RandomNode(client_rng), {1, 2, 3}, client_rng);
+      ASSERT_TRUE(door_count.ok());
+      ASSERT_TRUE(client_count.ok());
+      EXPECT_EQ(DescribeCount(*door_count), DescribeCount(*client_count));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

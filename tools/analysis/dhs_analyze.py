@@ -2,7 +2,7 @@
 """dhs-analyze: AST-accurate static-analysis suite for the DHS tree.
 
 The repo's headline guarantee is byte-identical determinism of
-fixed-seed worlds across shard counts and adversarial interleavings.
+fixed-seed worlds, across transports and thread counts.
 tools/lint/concurrency_lint.py polices the textual half of that
 discipline (raw std:: threading, unnamed mutexes); this suite enforces
 the parts a line-regex cannot see — typedefs, class structure, function
@@ -47,8 +47,7 @@ and running five checker families over the whole-project view:
                        exempt).
                        lock-blocking-call      calling a blocking
                        operation (CondVar::Wait on a *different*
-                       mutex, ThreadPool::Submit/Wait,
-                       ShardPool::Post/Barrier/RunRound, or any project
+                       mutex, ThreadPool::Submit/Wait, or any project
                        function that transitively does) while a Mutex
                        is held (MutexLock scope or Lock()/Unlock()
                        span): the held lock turns a wait into a
@@ -793,7 +792,7 @@ class Project:
         self.field_types = {}       # (class, member) -> type text
         self.statusor_returners = set()
         self.condvar_members = set()    # member names typed CondVar
-        self.pool_typed = {}            # name -> "ThreadPool"|"ShardPool"
+        self.pool_typed = {}            # name -> "ThreadPool"
         self.functions = []             # (rel, FunctionModel)
 
     def load(self, frontend):
@@ -825,9 +824,8 @@ class Project:
                     resolved = self.resolve_type(mem.type_text)
                     if re.search(r"\bCondVar\b", resolved):
                         self.condvar_members.add(mem.name)
-                    for pool in ("ThreadPool", "ShardPool"):
-                        if re.search(rf"\b{pool}\b", resolved):
-                            self.pool_typed[mem.name] = pool
+                    if re.search(r"\bThreadPool\b", resolved):
+                        self.pool_typed[mem.name] = "ThreadPool"
             for fn in fm.functions:
                 self.functions.append((rel, fn))
                 if "StatusOr" in self.resolve_type(fn.return_type):
@@ -1337,7 +1335,6 @@ def check_lock_members(project, rep):
 
 BLOCKING_POOL_METHODS = {
     "ThreadPool": {"Submit", "Wait"},
-    "ShardPool": {"Post", "Barrier", "RunRound"},
 }
 
 

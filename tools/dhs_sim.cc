@@ -29,18 +29,12 @@
 //   help                                 this text
 //
 // Flags:
-//   --shards=<K>          run DHS ops, churn and ticks through the
-//                         sharded execution engine (K ID-space shards
-//                         on worker threads; K=1 runs it inline);
-//                         fixed-seed runs are byte-identical across
-//                         shard counts
 //   --transport=<sim|loopback>
 //                         backend the client's frames travel through:
 //                         in-process simulator calls (default) or a
 //                         real AF_UNIX socket pair (dht/loopback.h);
 //                         both produce byte-identical output at a fixed
-//                         seed. Incompatible with --shards (the engine
-//                         moves batches, not per-frame traffic)
+//                         seed
 //   --trace-out=<path>    record per-operation spans; written as Chrome
 //                         trace-event JSON at exit (or <path>.jsonl next
 //                         to it when the path ends in .jsonl)
@@ -60,12 +54,10 @@
 
 #include "common/stats.h"
 #include "dhs/client.h"
-#include "dhs/front_door.h"
 #include "dhs/metrics.h"
 #include "dht/chord.h"
 #include "dht/kademlia.h"
 #include "dht/loopback.h"
-#include "dht/shard.h"
 #include "hashing/hasher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -76,17 +68,9 @@ namespace {
 struct SimState {
   std::unique_ptr<DhtNetwork> network;
   std::unique_ptr<DhsClient> client;
-  /// --shards=K: DHS ops, churn and ticks run through the sharded
-  /// execution engine instead of the sequential client (K=1 runs the
-  /// engine inline — the determinism reference). front depends on
-  /// engine (declared after, destroyed first).
-  bool use_engine = false;
-  int shards = 1;
   /// --transport=loopback: route every client frame through a real
   /// AF_UNIX socket pair instead of in-process simulator calls.
   bool use_loopback = false;
-  std::unique_ptr<ShardedNetwork> engine;
-  std::unique_ptr<DhsFrontDoor> front;
   DhsConfig config;
   Rng rng{20260705};
   MixHasher item_hasher{0xd5};
@@ -130,18 +114,6 @@ bool RequireClient(SimState& state) {
     }
     state.client = std::make_unique<DhsClient>(std::move(client.value()));
   }
-  if (state.use_engine && state.front == nullptr) {
-    if (state.engine == nullptr) {
-      state.engine = std::make_unique<ShardedNetwork>(state.network.get(),
-                                                      state.shards);
-    }
-    auto front = DhsFrontDoor::Create(state.engine.get(), state.config);
-    if (!front.ok()) {
-      std::printf("error: %s\n", front.status().ToString().c_str());
-      return false;
-    }
-    state.front = std::make_unique<DhsFrontDoor>(std::move(front.value()));
-  }
   return true;
 }
 
@@ -178,17 +150,8 @@ void CmdNetwork(SimState& state, std::istringstream& args) {
     state.network->AttachMetrics(state.metrics.get());
   }
   state.client.reset();
-  state.front.reset();
-  state.engine.reset();
-  if (state.use_engine) {
-    state.engine = std::make_unique<ShardedNetwork>(state.network.get(),
-                                                    state.shards);
-  }
-  std::printf("%s overlay with %zu nodes%s\n",
-              state.network->GeometryName(), state.network->NumNodes(),
-              state.use_engine ? (" (" + std::to_string(state.shards) +
-                                  " shards)").c_str()
-                               : "");
+  std::printf("%s overlay with %zu nodes\n", state.network->GeometryName(),
+              state.network->NumNodes());
 }
 
 void CmdConfig(SimState& state, std::istringstream& args) {
@@ -229,7 +192,6 @@ void CmdConfig(SimState& state, std::istringstream& args) {
     }
   }
   state.client.reset();  // rebuilt lazily with the new config
-  state.front.reset();
   std::printf("config: m=%d k=%d lim=%d replication=%d shift=%d "
               "estimator=%s\n",
               state.config.m, state.config.k, state.config.lim,
@@ -253,11 +215,7 @@ void CmdInsert(SimState& state, std::istringstream& args) {
   // failure mode is an empty network, excluded by RequireClient.
   const auto flush = [&state, metric](const std::vector<uint64_t>& items) {
     const uint64_t origin = state.network->RandomNode(state.rng);
-    if (state.front != nullptr) {
-      (void)state.front->InsertBatch(origin, metric, items, state.rng);
-    } else {
-      (void)state.client->InsertBatch(origin, metric, items, state.rng);
-    }
+    (void)state.client->InsertBatch(origin, metric, items, state.rng);
   };
   std::vector<uint64_t> batch;
   for (uint64_t i = 0; i < n; ++i) {
@@ -292,9 +250,7 @@ void CmdCount(SimState& state, std::istringstream& args) {
     metrics.push_back(MetricFromName(metric_name));
   }
   const uint64_t origin = state.network->RandomNode(state.rng);
-  auto result = state.front != nullptr
-                    ? state.front->CountMany(origin, metrics, state.rng)
-                    : state.client->CountMany(origin, metrics, state.rng);
+  auto result = state.client->CountMany(origin, metrics, state.rng);
   if (!result.ok()) {
     std::printf("error: %s\n", result.status().ToString().c_str());
     return;
@@ -323,26 +279,16 @@ void CmdChurn(SimState& state, std::istringstream& args,
   int n = 0;
   args >> n;
   if (n <= 0 || !RequireNetwork(state)) return;
-  ShardedNetwork* engine = state.engine.get();
   int done = 0;
   for (int i = 0; i < n; ++i) {
     if (what == "join") {
-      const uint64_t id = state.rng.Next();
-      const Status s =
-          engine != nullptr ? engine->JoinNode(id) : state.network->AddNode(id);
-      if (s.ok()) ++done;
+      if (state.network->AddNode(state.rng.Next()).ok()) ++done;
       continue;
     }
     if (state.network->NumNodes() <= 2) break;
     const uint64_t victim = state.network->RandomNode(state.rng);
-    Status s;
-    if (what == "fail") {
-      s = engine != nullptr ? engine->CrashNode(victim)
-                            : state.network->FailNode(victim);
-    } else {
-      s = engine != nullptr ? engine->LeaveNode(victim)
-                            : state.network->RemoveNode(victim);
-    }
+    const Status s = what == "fail" ? state.network->FailNode(victim)
+                                    : state.network->RemoveNode(victim);
     if (s.ok()) ++done;
   }
   std::printf("%s: %d nodes (now %zu alive)\n", what.c_str(), done,
@@ -415,27 +361,16 @@ int Run(int argc, char** argv) {
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       state.metrics_out = arg.substr(std::string("--metrics-out=").size());
       state.metrics = std::make_unique<MetricsRegistry>();
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      state.shards = std::atoi(arg.c_str() + 9);
-      if (state.shards < 1) state.shards = 1;
-      state.use_engine = true;
     } else if (arg == "--transport=sim") {
       state.use_loopback = false;
     } else if (arg == "--transport=loopback") {
       state.use_loopback = true;
     } else {
       std::fprintf(stderr,
-                   "usage: dhs_sim [--shards=K] [--transport=sim|loopback] "
+                   "usage: dhs_sim [--transport=sim|loopback] "
                    "[--trace-out=PATH] [--metrics-out=PATH] < commands\n");
       return 2;
     }
-  }
-  if (state.use_loopback && state.use_engine) {
-    std::fprintf(stderr,
-                 "error: --transport=loopback is incompatible with --shards "
-                 "(the sharded engine exchanges op batches, not per-frame "
-                 "traffic)\n");
-    return 2;
   }
   std::string line;
   const bool interactive = isatty(fileno(stdin));
@@ -466,11 +401,7 @@ int Run(int argc, char** argv) {
       int n = 1;
       args >> n;
       if (RequireNetwork(state)) {
-        if (state.engine != nullptr) {
-          state.engine->AdvanceClock(static_cast<uint64_t>(n));
-        } else {
-          state.network->AdvanceClock(static_cast<uint64_t>(n));
-        }
+        state.network->AdvanceClock(static_cast<uint64_t>(n));
         std::printf("clock=%llu\n",
                     static_cast<unsigned long long>(state.network->now()));
       }

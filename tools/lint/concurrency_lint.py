@@ -11,13 +11,13 @@ statically, in CI and as a ctest:
   raw-threading     std::mutex / std::thread / std::condition_variable
                     (and friends) are forbidden outside src/common/:
                     everything else must use the annotated, diagnosed
-                    primitives in common/sync.h and the pools in
+                    primitives in common/sync.h and the pool in
                     common/thread_pool.h. std::thread::
                     hardware_concurrency() is a pure query and allowed.
 
   unnamed-mutex     Mutex members must carry a registered name
-                    (`Mutex mu_{"subsystem"};`): deadlock reports and
-                    contention metrics aggregate by that name.
+                    (`Mutex mu_{"subsystem"};`): lock-misuse reports
+                    name the mutex by it.
 
 These two are token/syntax rules that need no type information, so a
 line scanner is the right tool. The rules this script used to own that
@@ -132,8 +132,8 @@ def lint_file(path, rel):
         if not named:
             report(
                 num, "unnamed-mutex",
-                "Mutex member %s has no registered name — deadlock "
-                "reports and contention metrics aggregate by name "
+                "Mutex member %s has no registered name — lock-misuse "
+                "reports name the mutex by it "
                 "(Mutex %s{\"subsystem\"};)" % (name, name),
             )
     return findings
