@@ -146,7 +146,7 @@ void Run() {
     ConvergecastAggregator agg(net.get(), local_items);
     net->ResetStats();
     auto result = agg.Count(net->RandomNode(rng),
-                            ConvergecastAggregator::Mode::kSketchPcsa, 512,
+                            ConvergecastAggregator::Mode::kPcsaSketch, 512,
                             24);
     if (result.ok()) {
       report("convergecast", result->estimate, net->stats(), true);

@@ -44,9 +44,9 @@ StatusOr<ConvergecastAggregator::Result> ConvergecastAggregator::Count(
     switch (mode) {
       case Mode::kTallySum:
         return nullptr;
-      case Mode::kSketchPcsa:
+      case Mode::kPcsaSketch:
         return std::make_unique<PcsaSketch>(num_bitmaps, bits);
-      case Mode::kSketchSll:
+      case Mode::kSllSketch:
         return std::make_unique<LogLogSketch>(num_bitmaps, bits);
     }
     return nullptr;

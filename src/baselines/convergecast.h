@@ -6,7 +6,7 @@
 //
 // Aggregate modes:
 //  * kTallySum   — sums per-node local counts (duplicate-sensitive);
-//  * kSketchPcsa / kSketchSll — tree-merges per-node hash sketches
+//  * kPcsaSketch / kSllSketch — tree-merges per-node hash sketches
 //    (duplicate-insensitive, as in Considine et al. ICDE '04).
 //
 // Every query touches all N nodes: 2(N-1) tree-edge messages.
@@ -24,7 +24,7 @@ namespace dhs {
 
 class ConvergecastAggregator {
  public:
-  enum class Mode { kTallySum, kSketchPcsa, kSketchSll };
+  enum class Mode { kTallySum, kPcsaSketch, kSllSketch };
 
   struct Result {
     double estimate = 0.0;

@@ -193,7 +193,6 @@ class DhsClient {
   /// the cached frontier, and a frontier-started scan would silently
   /// undercount. No-op when the metric is not cached.
   void InvalidateFrontier(uint64_t metric_id) { frontier_.erase(metric_id); }
-  void InvalidateAllFrontiers() { frontier_.clear(); }
 
   /// Frontier-cache introspection (tests and the serving layer).
   size_t FrontierEntries() const { return frontier_.size(); }

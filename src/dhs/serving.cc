@@ -317,10 +317,4 @@ void DhsServing::InvalidateMetric(uint64_t metric_id) {
   metrics_.RecordSignalInvalidation();
 }
 
-void DhsServing::InvalidateAll() {
-  // Ops/test helper; NOT wave-logged (the replay contract covers
-  // metric-granular invalidation only).
-  client_->InvalidateAllFrontiers();
-}
-
 }  // namespace dhs

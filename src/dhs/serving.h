@@ -166,8 +166,9 @@ class DhsServing {
   /// External invalidation signal (client.h InvalidateFrontier): call
   /// when state changed behind the serving layer's back — an insert
   /// through another client, a maintainer republish after migration.
+  /// It is wave-logged (ServingWave::kInvalidate), so the replay
+  /// guarantee above holds across it.
   void InvalidateMetric(uint64_t metric_id);
-  void InvalidateAll();
 
   const DhsConfig& config() const { return client_->config(); }
   const DhsServingConfig& serving_config() const { return config_; }

@@ -63,21 +63,6 @@ StatusOr<std::string> ServeMetricQuery(DhtNetwork& network, uint64_t node,
   return encoded;
 }
 
-StatusOr<std::string> ServeMigrate(DhtNetwork& network, uint64_t node,
-                                   const MigrateFrame& migrate) {
-  NodeStore* store = network.StoreAt(node);
-  if (store == nullptr) {
-    return Status::NotFound("migrate target is gone");
-  }
-  for (const MigrateRecord& record : migrate.records) {
-    store->Put(record.dht_key, record.key, record.value, record.expires_at);
-  }
-  AckFrame ack;
-  ack.code = static_cast<uint8_t>(StatusCode::kOk);
-  ack.node = node;
-  return EncodeAck(ack);
-}
-
 }  // namespace
 
 StatusOr<std::string> ServeFrame(DhtNetwork& network, uint64_t node,
@@ -105,30 +90,8 @@ StatusOr<std::string> ServeFrame(DhtNetwork& network, uint64_t node,
       if (!put.ok()) return put.status();
       return ServePut(network, node, *put);
     }
-    case FrameType::kMigrate: {
-      auto migrate = DecodeMigrate(frame);
-      if (!migrate.ok()) return migrate.status();
-      return ServeMigrate(network, node, *migrate);
-    }
-    case FrameType::kSketch: {
-      // Sketch payloads travel opaquely (the dht layer does not link
-      // the estimator library); delivery just validates and acks.
-      auto sketch = DecodeSketch(frame);
-      if (!sketch.ok()) return sketch.status();
-      AckFrame ack;
-      ack.code = static_cast<uint8_t>(StatusCode::kOk);
-      ack.node = node;
-      return EncodeAck(ack);
-    }
-    case FrameType::kCountRequest:
-      // Counting runs a DhsClient, which lives above the dht layer:
-      // dhs/count_service.h wraps a transport and serves these.
-      return Status::InvalidArgument(
-          "count requests are served by the DHS count service, not the "
-          "transport");
     case FrameType::kVectorResponse:
     case FrameType::kAck:
-    case FrameType::kCountResponse:
       return Status::InvalidArgument(std::string("wire: ") +
                                      FrameTypeName(view->type) +
                                      " is a reply frame and cannot be served");

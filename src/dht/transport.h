@@ -18,10 +18,10 @@
 // Charging discipline (must stay byte-identical to the pre-wire
 // accounting; see wire.h on accounted-vs-overhead): a routed or
 // forwarded frame costs AccountedPayloadBytes per overlay hop; a query
-// exchange costs the response's accounted bytes once; acks and
-// migration bodies are free. The fault layer acts at frame granularity:
-// each Route/Send is one fault draw on the frame as issued (a faulted
-// frame charges one message, no hops, no bytes).
+// exchange costs the response's accounted bytes once; acks are free.
+// The fault layer acts at frame granularity: each Route/Send is one
+// fault draw on the frame as issued (a faulted frame charges one
+// message, no hops, no bytes).
 
 #ifndef DHS_DHT_TRANSPORT_H_
 #define DHS_DHT_TRANSPORT_H_
@@ -40,8 +40,8 @@ namespace dhs {
 
 /// One frame crossing a transport, as observed by the byte-metrics tap:
 /// full wire length vs the accounted §5.1 bytes actually charged to
-/// MessageStats for this frame (0 for faulted frames, acks, queries and
-/// migrations; payload x hops for routed frames). The reconciliation
+/// MessageStats for this frame (0 for faulted frames, acks and queries;
+/// payload x hops for routed frames). The reconciliation
 /// property (tests/obs/reconcile_test.cc) sums charged_bytes and must
 /// match the network's MessageStats byte delta exactly.
 struct FrameTapEvent {
@@ -84,7 +84,7 @@ class Transport {
                                   const std::string& frame) = 0;
 
   /// Request/response exchange with an already-reached node (metric
-  /// queries, count requests). Charges the response's accounted bytes;
+  /// queries). Charges the response's accounted bytes;
   /// the request rides on the walk that reached the node (§5.1).
   /// NotFound means the node is gone — nothing charged.
   virtual StatusOr<std::string> Query(uint64_t node,
@@ -100,9 +100,9 @@ class Transport {
 /// sim and loopback worlds stay byte-identical. For kPut this performs
 /// the store writes (CHECK-failing if the holder vanished, matching the
 /// historical client invariant); for kMetricQuery it reads the store
-/// and charges the response; kProbeOpen/kMigrate acknowledge.
-/// kCountRequest is NOT served here: counting needs a DhsClient, which
-/// lives a layer above (dhs/count_service.h).
+/// and charges the response; kProbeOpen acknowledges. The reply types
+/// (kVectorResponse, kAck) are InvalidArgument, and so is any frame
+/// ParseFrame rejects, unknown type bytes included.
 StatusOr<std::string> ServeFrame(DhtNetwork& network, uint64_t node,
                                  std::string_view frame);
 

@@ -1,11 +1,9 @@
 #include "dht/wire.h"
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -16,8 +14,6 @@ namespace dhs {
 namespace {
 
 // Fixed envelope length per type (bytes of body before the payload).
-// kMigrate's body is variable and wholly uncharged; its "envelope" here
-// is the fixed record-count prefix, the minimum valid body.
 size_t EnvelopeBytes(FrameType type) {
   switch (type) {
     case FrameType::kProbeOpen:
@@ -30,14 +26,6 @@ size_t EnvelopeBytes(FrameType type) {
       return kPutEnvelopeBytes;
     case FrameType::kAck:
       return kAckEnvelopeBytes;
-    case FrameType::kMigrate:
-      return 4;
-    case FrameType::kCountRequest:
-      return 0;
-    case FrameType::kCountResponse:
-      return kCountResponseEnvelopeBytes;
-    case FrameType::kSketch:
-      return kSketchEnvelopeBytes;
   }
   return 0;
 }
@@ -47,8 +35,6 @@ uint8_t AllowedFlags(FrameType type) {
   switch (type) {
     case FrameType::kPut:
       return kPutFlagAbsoluteExpiry;
-    case FrameType::kCountResponse:
-      return kCountFlagGaveUp;
     default:
       return 0;
   }
@@ -56,7 +42,7 @@ uint8_t AllowedFlags(FrameType type) {
 
 bool KnownType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kProbeOpen) &&
-         type <= static_cast<uint8_t>(FrameType::kSketch);
+         type <= static_cast<uint8_t>(FrameType::kAck);
 }
 
 // Starts a frame: header with a body_len placeholder that
@@ -115,14 +101,6 @@ const char* FrameTypeName(FrameType type) {
       return "put";
     case FrameType::kAck:
       return "ack";
-    case FrameType::kMigrate:
-      return "migrate";
-    case FrameType::kCountRequest:
-      return "count_request";
-    case FrameType::kCountResponse:
-      return "count_response";
-    case FrameType::kSketch:
-      return "sketch";
   }
   return "unknown";
 }
@@ -171,9 +149,6 @@ StatusOr<FrameView> ParseFrame(std::string_view wire) {
 StatusOr<size_t> AccountedPayloadBytes(std::string_view wire) {
   auto view = ParseFrame(wire);
   if (!view.ok()) return view.status();
-  // Migration is background repair, not query traffic: the paper's cost
-  // model never charges it, so its whole body counts as overhead.
-  if (view->type == FrameType::kMigrate) return size_t{0};
   return view->body.size() - EnvelopeBytes(view->type);
 }
 
@@ -381,186 +356,6 @@ StatusOr<AckFrame> DecodeAck(std::string_view wire) {
   }
   frame.node = LoadLE64(view->body.data() + 1);
   frame.hops = LoadLE16(view->body.data() + 9);
-  return frame;
-}
-
-// --------------------------------------------------------------------------
-// kMigrate
-
-std::string EncodeMigrate(const MigrateFrame& frame) {
-  CHECK(frame.records.size() <= UINT32_MAX) << "wire: too many migrate records";
-  std::string out = BeginFrame(FrameType::kMigrate, 0);
-  AppendLE32(out, static_cast<uint32_t>(frame.records.size()));
-  for (const MigrateRecord& record : frame.records) {
-    AppendLE64(out, record.dht_key);
-    const std::string key_bytes = record.key.ToBytes();
-    CHECK(key_bytes.size() <= 0xffff) << "wire: migrate key too long";
-    AppendLE16(out, static_cast<uint16_t>(key_bytes.size()));
-    out.append(key_bytes);
-    AppendLE64(out, record.expires_at);
-    CHECK(record.value.size() <= UINT32_MAX) << "wire: migrate value too long";
-    AppendLE32(out, static_cast<uint32_t>(record.value.size()));
-    out.append(record.value);
-  }
-  FinishFrame(out);
-  return out;
-}
-
-StatusOr<MigrateFrame> DecodeMigrate(std::string_view wire) {
-  auto view = ParseAs(wire, FrameType::kMigrate);
-  if (!view.ok()) return view.status();
-  const std::string_view body = view->body;
-  const uint32_t count = LoadLE32(body.data());
-  // Every record occupies at least its 22 fixed bytes (dht_key 8 +
-  // key_len 2 + expires 8 + value_len 4), so a count the body cannot
-  // possibly hold is rejected before reserve() turns an adversarial
-  // 4-byte prefix into a multi-gigabyte allocation.
-  if (count > (body.size() - 4) / 22) {
-    return Status::InvalidArgument(
-        "wire: migrate record count exceeds what the body can hold");
-  }
-  size_t pos = 4;
-  MigrateFrame frame;
-  frame.records.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    MigrateRecord record;
-    if (body.size() - pos < 8 + 2) {
-      return Status::InvalidArgument("wire: migrate record truncated");
-    }
-    record.dht_key = LoadLE64(body.data() + pos);
-    pos += 8;
-    const uint16_t key_len = LoadLE16(body.data() + pos);
-    pos += 2;
-    if (body.size() - pos < key_len) {
-      return Status::InvalidArgument("wire: migrate key truncated");
-    }
-    record.key = StoreKey::FromBytes(std::string(body.substr(pos, key_len)));
-    pos += key_len;
-    if (body.size() - pos < 8 + 4) {
-      return Status::InvalidArgument("wire: migrate record truncated");
-    }
-    record.expires_at = LoadLE64(body.data() + pos);
-    pos += 8;
-    const uint32_t value_len = LoadLE32(body.data() + pos);
-    pos += 4;
-    if (body.size() - pos < value_len) {
-      return Status::InvalidArgument("wire: migrate value truncated");
-    }
-    record.value = std::string(body.substr(pos, value_len));
-    pos += value_len;
-    frame.records.push_back(std::move(record));
-  }
-  if (pos != body.size()) {
-    return Status::InvalidArgument("wire: trailing bytes after migrate records");
-  }
-  return frame;
-}
-
-// --------------------------------------------------------------------------
-// kCountRequest / kCountResponse
-
-std::string EncodeCountRequest(const CountRequestFrame& frame) {
-  std::string out = BeginFrame(FrameType::kCountRequest, 0);
-  for (uint64_t metric : frame.metric_ids) AppendLE64(out, metric);
-  FinishFrame(out);
-  return out;
-}
-
-StatusOr<CountRequestFrame> DecodeCountRequest(std::string_view wire) {
-  auto view = ParseAs(wire, FrameType::kCountRequest);
-  if (!view.ok()) return view.status();
-  if (view->body.empty() || view->body.size() % 8 != 0) {
-    return Status::InvalidArgument(
-        "wire: count_request body must be a non-empty multiple of 8 bytes");
-  }
-  CountRequestFrame frame;
-  const size_t n = view->body.size() / 8;
-  frame.metric_ids.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    frame.metric_ids.push_back(LoadLE64(view->body.data() + 8 * i));
-  }
-  return frame;
-}
-
-std::string EncodeCountResponse(const CountResponseFrame& frame) {
-  std::string out = BeginFrame(FrameType::kCountResponse,
-                               frame.gave_up ? kCountFlagGaveUp : uint8_t{0});
-  AppendLE32(out, frame.bitmaps_unresolved);
-  for (const CountResponseEntry& entry : frame.entries) {
-    AppendLE64(out, std::bit_cast<uint64_t>(entry.estimate));
-    CHECK(entry.observables.size() <= 0xffff) << "wire: too many observables in count response";
-    AppendLE16(out, static_cast<uint16_t>(entry.observables.size()));
-    for (int obs : entry.observables) {
-      CHECK(obs >= -1 && obs <= 0x7fff) << "wire: count observable out of int16 range";
-      AppendLE16(out, static_cast<uint16_t>(static_cast<int16_t>(obs)));
-    }
-  }
-  FinishFrame(out);
-  return out;
-}
-
-StatusOr<CountResponseFrame> DecodeCountResponse(std::string_view wire) {
-  auto view = ParseAs(wire, FrameType::kCountResponse);
-  if (!view.ok()) return view.status();
-  const std::string_view body = view->body;
-  CountResponseFrame frame;
-  frame.gave_up = (view->flags & kCountFlagGaveUp) != 0;
-  frame.bitmaps_unresolved = LoadLE32(body.data());
-  size_t pos = kCountResponseEnvelopeBytes;
-  while (pos < body.size()) {
-    if (body.size() - pos < 8 + 2) {
-      return Status::InvalidArgument("wire: count_response entry truncated");
-    }
-    CountResponseEntry entry;
-    entry.estimate = std::bit_cast<double>(LoadLE64(body.data() + pos));
-    pos += 8;
-    const uint16_t m = LoadLE16(body.data() + pos);
-    pos += 2;
-    if (body.size() - pos < size_t{2} * m) {
-      return Status::InvalidArgument(
-          "wire: count_response observables truncated");
-    }
-    entry.observables.reserve(m);
-    for (uint16_t i = 0; i < m; ++i) {
-      const int obs = static_cast<int16_t>(LoadLE16(body.data() + pos));
-      pos += 2;
-      if (obs < -1) {
-        return Status::InvalidArgument(
-            "wire: count_response observable below -1");
-      }
-      entry.observables.push_back(obs);
-    }
-    frame.entries.push_back(std::move(entry));
-  }
-  return frame;
-}
-
-// --------------------------------------------------------------------------
-// kSketch
-
-std::string EncodeSketch(const SketchFrame& frame) {
-  CHECK(frame.family >= kSketchFamilyPcsa && frame.family <= kSketchFamilyHyperLogLog) << "wire: unknown sketch family";
-  std::string out = BeginFrame(FrameType::kSketch, 0);
-  out.push_back(static_cast<char>(frame.family));
-  out.append(frame.payload);
-  FinishFrame(out);
-  return out;
-}
-
-StatusOr<SketchFrame> DecodeSketch(std::string_view wire) {
-  auto view = ParseAs(wire, FrameType::kSketch);
-  if (!view.ok()) return view.status();
-  const uint8_t family = static_cast<uint8_t>(view->body[0]);
-  if (family < kSketchFamilyPcsa || family > kSketchFamilyHyperLogLog) {
-    return Status::InvalidArgument("wire: unknown sketch family " +
-                                   std::to_string(family));
-  }
-  if (view->body.size() == kSketchEnvelopeBytes) {
-    return Status::InvalidArgument("wire: sketch frame carries no payload");
-  }
-  SketchFrame frame;
-  frame.family = family;
-  frame.payload = std::string(view->body.substr(kSketchEnvelopeBytes));
   return frame;
 }
 

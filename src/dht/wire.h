@@ -35,10 +35,12 @@
 //   kVectorResp  3   -                                 metric 8 | vector 2 x v             (=8+2v, ProbeResponseBytes)
 //   kPut         4   dst_key 8 | metric 8 | expiry 8   tuple 8 x n                         (=8n, TupleBytes x n)
 //   kAck         5   code 1 | node 8 | hops 2          -                                   (=0; acks ride for free, §5.2)
-//   kMigrate     6   count 4                           records (churn hand-off; uncharged)
-//   kCountReq    7   -                                 metric 8 x n
-//   kCountResp   8   unresolved 4                      entries (estimate 8 | m 2 | obs 2 x m)
-//   kSketch      9   family 1                          estimator Serialize() bytes
+//
+// These five are every message the protocol sends: the §3.2 insertion
+// group (kPut), the Alg. 1 probe request (kProbeOpen, then one
+// kMetricQuery per metric) and the probe response (kVectorResponse),
+// plus the ack. Any other type byte, 0 and 6..255 alike, is rejected
+// as unknown.
 //
 // A kPut tuple is the paper's (metric, vector, bit, timeout) insertion
 // tuple at its §5.1 size of 8 bytes: metric_low 1 | vector 2 | bit 1 |
@@ -79,10 +81,6 @@ enum class FrameType : uint8_t {
   kVectorResponse = 3,  // the vector ids holding a set bit (reply)
   kPut = 4,             // insert a group of DHS tuples at a key
   kAck = 5,             // generic delivery acknowledgement (reply)
-  kMigrate = 6,         // churn hand-off of raw store records
-  kCountRequest = 7,    // front-door count for a batch of metrics
-  kCountResponse = 8,   // estimates + raw observables (reply)
-  kSketch = 9,          // serialized estimator payload (family-tagged)
 };
 
 /// Human-readable frame type name ("put", "probe_open", ...), stable
@@ -92,8 +90,6 @@ const char* FrameTypeName(FrameType type);
 /// kPut flag: the envelope expiry is an absolute tick (replica writes,
 /// which reuse the primary's expiry) rather than a relative TTL.
 inline constexpr uint8_t kPutFlagAbsoluteExpiry = 0x01;
-/// kCountResponse flag: the count gave up (unrecoverable probe failure).
-inline constexpr uint8_t kCountFlagGaveUp = 0x01;
 
 /// Validated frame header plus a view of the raw body.
 struct FrameView {
@@ -186,7 +182,7 @@ std::string EncodePut(const PutFrame& frame);
 StatusOr<PutFrame> DecodePut(std::string_view wire);
 
 // ---------------------------------------------------------------------------
-// kAck — generic reply for kProbeOpen / kPut / kMigrate deliveries.
+// kAck — generic reply for kProbeOpen / kPut deliveries.
 // code is the StatusCode of the serving side; node/hops describe where
 // the frame landed. Acks carry no §5.1 payload (the paper's cost model
 // charges requests and data-bearing responses only).
@@ -199,70 +195,6 @@ struct AckFrame {
 inline constexpr size_t kAckEnvelopeBytes = 11;
 std::string EncodeAck(const AckFrame& frame);
 StatusOr<AckFrame> DecodeAck(std::string_view wire);
-
-// ---------------------------------------------------------------------------
-// kMigrate — raw store-record hand-off for churn moves. Record:
-// dht_key 8 | key_len 2 | key bytes (StoreKey::ToBytes) | expires 8 |
-// value_len 4 | value bytes. Migration traffic is uncharged in the
-// simulator (it models background repair, not query cost), so the whole
-// body counts as envelope for accounting purposes.
-
-struct MigrateRecord {
-  uint64_t dht_key = 0;
-  StoreKey key;
-  uint64_t expires_at = kNoExpiry;
-  std::string value;
-};
-struct MigrateFrame {
-  std::vector<MigrateRecord> records;
-};
-std::string EncodeMigrate(const MigrateFrame& frame);
-StatusOr<MigrateFrame> DecodeMigrate(std::string_view wire);
-
-// ---------------------------------------------------------------------------
-// kCountRequest / kCountResponse — the front-door count service
-// (dhs/count_service.h): a client anywhere asks one node to run the
-// multi-metric count on its behalf. Estimates cross the wire as IEEE
-// bit patterns (std::bit_cast, LE64), observables as signed 16-bit
-// (-1 == "no vector observed for any bit", client.h).
-
-struct CountRequestFrame {
-  std::vector<uint64_t> metric_ids;
-};
-std::string EncodeCountRequest(const CountRequestFrame& frame);
-StatusOr<CountRequestFrame> DecodeCountRequest(std::string_view wire);
-
-struct CountResponseEntry {
-  double estimate = 0.0;
-  std::vector<int> observables;  // each in [-1, 32767]
-};
-struct CountResponseFrame {
-  bool gave_up = false;
-  uint32_t bitmaps_unresolved = 0;
-  std::vector<CountResponseEntry> entries;
-};
-inline constexpr size_t kCountResponseEnvelopeBytes = 4;
-std::string EncodeCountResponse(const CountResponseFrame& frame);
-StatusOr<CountResponseFrame> DecodeCountResponse(std::string_view wire);
-
-// ---------------------------------------------------------------------------
-// kSketch — a serialized estimator travels as an opaque, family-tagged
-// payload (the PR 2 Serialize()/Deserialize() formats are themselves
-// strict, length-checked codecs; see tests/sketch/serialization_test.cc).
-// The dht layer does not link the sketch library, so the frame carries
-// validated bytes, not a decoded estimator.
-
-inline constexpr uint8_t kSketchFamilyPcsa = 1;
-inline constexpr uint8_t kSketchFamilyLogLog = 2;
-inline constexpr uint8_t kSketchFamilyHyperLogLog = 3;
-
-struct SketchFrame {
-  uint8_t family = kSketchFamilyPcsa;
-  std::string payload;  // estimator Serialize() bytes (SerializedBytes long)
-};
-inline constexpr size_t kSketchEnvelopeBytes = 1;
-std::string EncodeSketch(const SketchFrame& frame);
-StatusOr<SketchFrame> DecodeSketch(std::string_view wire);
 
 }  // namespace dhs
 

@@ -72,7 +72,7 @@ TEST_P(BaselineGeometryTest, ConvergecastReachesEveryone) {
 TEST_P(BaselineGeometryTest, ConvergecastSketchCountsDistinct) {
   ConvergecastAggregator agg(net_.get(), local_items_);
   auto result = agg.Count(net_->NodeIds()[0],
-                          ConvergecastAggregator::Mode::kSketchPcsa, 64, 24);
+                          ConvergecastAggregator::Mode::kPcsaSketch, 64, 24);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->estimate, static_cast<double>(distinct_.size()),
               0.5 * static_cast<double>(distinct_.size()));

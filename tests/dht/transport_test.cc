@@ -210,12 +210,16 @@ TEST(ServeFrameTest, RejectsFramesThatDoNotBelongOnTheServer) {
   BuildNodes(net, 32, 3);
   Rng rng(6);
   const uint64_t node = net.RandomNode(rng);
-  // Counting needs a DhsClient: the dht-layer server must refuse it.
-  CountRequestFrame count;
-  count.metric_ids = {1};
-  auto counted = ServeFrame(net, node, EncodeCountRequest(count));
-  ASSERT_FALSE(counted.ok());
-  EXPECT_TRUE(counted.status().IsInvalidArgument());
+  // Type byte 7 names no frame type: a well-formed frame retyped to it
+  // is rejected as unknown at parse time, before any dispatch.
+  std::string unknown = EncodeProbeOpen({1, 2});
+  unknown[2] = 7;
+  auto served = ServeFrame(net, node, unknown);
+  ASSERT_FALSE(served.ok());
+  EXPECT_TRUE(served.status().IsInvalidArgument());
+  EXPECT_NE(served.status().message().find("unknown frame type"),
+            std::string::npos)
+      << served.status().ToString();
   // Reply frames are not servable requests.
   EXPECT_FALSE(ServeFrame(net, node, EncodeAck({0, 1, 2})).ok());
   VectorResponseFrame response;

@@ -1,7 +1,6 @@
 // Loopback-transport integration suite: the full DHS pipeline — insert,
-// multi-metric count, TTL refresh via the maintainer, churn, faults,
-// and the kCountRequest/kCountResponse front-door service — with every
-// data-plane frame crossing a real AF_UNIX socket pair
+// multi-metric count, TTL refresh via the maintainer, churn and faults
+// — with every data-plane frame crossing a real AF_UNIX socket pair
 // (dht/loopback.h). A twin run over the in-process sim backend on an
 // identically-seeded network must match byte-for-byte: same estimates,
 // same MessageStats, same stores.
@@ -18,9 +17,7 @@
 
 #include "common/check.h"
 #include "dht/chord.h"
-#include "dht/wire.h"
 #include "dhs/client.h"
-#include "dhs/count_service.h"
 #include "dhs/maintainer.h"
 #include "hashing/hasher.h"
 
@@ -179,47 +176,6 @@ TEST(LoopbackIntegrationTest, FaultedRunMatchesSim) {
   EXPECT_EQ(sim_fired.drops, loop_fired.drops);
   EXPECT_EQ(sim_fired.timeouts, loop_fired.timeouts);
   ExpectWorldsIdentical(sim, loop);
-}
-
-// The count service round-trip: a kCountRequest frame in, a
-// kCountResponse frame out, matching a direct CountMany call bit for
-// bit — over the loopback client, so the service's own counting
-// traffic crosses the socket too.
-TEST(LoopbackIntegrationTest, CountServiceFramesRoundTrip) {
-  World loop(true);
-  loop.Populate(kMetricQ, 20000, 25);
-
-  DhsCountService service(loop.client.get());
-  Rng service_rng(26);
-  const uint64_t origin = loop.net.RandomNode(service_rng);
-
-  CountRequestFrame request;
-  request.metric_ids = {kMetricQ};
-  auto encoded = service.Handle(origin, EncodeCountRequest(request),
-                                service_rng);
-  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  auto response = DecodeCountResponse(*encoded);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_EQ(response->entries.size(), 1u);
-  EXPECT_FALSE(response->gave_up);
-
-  // The same count, issued directly with identical seeds on a twin
-  // world, produces the same estimate and observables.
-  World twin(true);
-  twin.Populate(kMetricQ, 20000, 25);
-  Rng direct_rng(26);
-  const uint64_t twin_origin = twin.net.RandomNode(direct_rng);
-  ASSERT_EQ(twin_origin, origin);
-  auto direct =
-      twin.client->CountMany(twin_origin, {kMetricQ}, direct_rng);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(response->entries[0].estimate, direct->estimates[0]);
-  EXPECT_EQ(response->entries[0].observables, direct->observables[0]);
-
-  // Malformed requests are rejected before any counting happens.
-  EXPECT_FALSE(service.Handle(origin, "garbage", service_rng).ok());
-  EXPECT_FALSE(
-      service.Handle(origin, EncodeCountRequest({}), service_rng).ok());
 }
 
 }  // namespace
