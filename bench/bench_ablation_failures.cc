@@ -101,7 +101,7 @@ void Run() {
 
 // A2b — message faults instead of node failures: every hop of the
 // counting walk is subject to an i.i.d. drop probability, and the
-// client rides it out with retry-with-backoff plus replica fallback.
+// client rides it out with retries plus replica fallback.
 // Reported per cell: relative error, mean retries per count, and the
 // fraction of counts that gave up (left bitmaps unresolved after all
 // retry attempts).
@@ -164,8 +164,8 @@ void RunMessageFaults() {
                10);
     }
   }
-  PrintPaperNote("message loss is absorbed by retry-with-backoff before it "
-                 "is visible in the estimate: at 5% drop every count "
+  PrintPaperNote("message loss is absorbed by retries before it is "
+                 "visible in the estimate: at 5% drop every count "
                  "completes (gaveup=0) and the error matches the loss-free "
                  "row; faults surface as retries, not bias");
 }

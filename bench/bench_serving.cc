@@ -7,11 +7,10 @@
 //   * Counts leg — `reqs` single-metric count requests, metric drawn
 //     from Zipf(theta) over `tenants` metrics, submitted in flush
 //     batches of `batch`. Modes: uncoalesced (every request its own
-//     probe wave), coalesced (identical sets share one wave), and
-//     coalesced+tuned (online lim tuner active). Run over the sim
-//     backend and again with every frame crossing the AF_UNIX
-//     loopback pair. The frontier cache is OFF in all modes so the
-//     numbers isolate coalescing, not memoization.
+//     probe wave) and coalesced (identical sets share one wave). Run
+//     over the sim backend and again with every frame crossing the
+//     AF_UNIX loopback pair. The frontier cache is OFF in both modes so
+//     the numbers isolate coalescing, not memoization.
 //
 // Equivalence gate before any number is trusted: every count leg
 // replays its own wave log through a plain DhsClient on an
@@ -93,8 +92,8 @@ Workload ReadWorkload() {
 }
 
 // ---------------------------------------------------------------------------
-// Counts leg: Zipf-skewed hot-metric mix, uncoalesced vs coalesced vs
-// coalesced+tuned, over the sim and loopback transports.
+// Counts leg: Zipf-skewed hot-metric mix, uncoalesced vs coalesced,
+// over the sim and loopback transports.
 
 struct CountLeg {
   std::string transport;
@@ -106,7 +105,6 @@ struct CountLeg {
   double wall = 0.0;
   double per_sec = 0.0;
   double speedup = 1.0;               // vs the uncoalesced leg
-  int lim_final = 0;                  // tuned mode only
 };
 
 /// Identical tenant populations in every world: tenant t gets
@@ -135,8 +133,7 @@ void PopulateTenants(const Workload& w, DhtNetwork* net, DhsClient* client) {
   }
 }
 
-CountLeg RunCountLeg(const Workload& w, bool loopback, bool coalesce,
-                     bool tune) {
+CountLeg RunCountLeg(const Workload& w, bool loopback, bool coalesce) {
   const auto make_client = [&](DhtNetwork* net) {
     auto created =
         loopback
@@ -159,7 +156,6 @@ CountLeg RunCountLeg(const Workload& w, bool loopback, bool coalesce,
 
   DhsServingConfig serving_config;
   serving_config.coalesce_counts = coalesce;
-  serving_config.tune_lim = tune;
   auto serving_or = DhsServing::Create(client.get(), serving_config);
   CHECK_OK(serving_or);
   DhsServing serving = std::move(serving_or.value());
@@ -173,7 +169,7 @@ CountLeg RunCountLeg(const Workload& w, bool loopback, bool coalesce,
 
   CountLeg leg;
   leg.transport = loopback ? "loopback" : "sim";
-  leg.mode = tune ? "coalesced+tuned" : (coalesce ? "coalesced" : "uncoalesced");
+  leg.mode = coalesce ? "coalesced" : "uncoalesced";
   leg.requests = w.reqs;
 
   const uint64_t messages_before = net->stats().messages;
@@ -223,10 +219,7 @@ CountLeg RunCountLeg(const Workload& w, bool loopback, bool coalesce,
         const ServingWave& wave = log[wave_index];
         CHECK(wave.kind == ServingWave::kCountWave);
         CHECK(wave.waiters == wave_groups[wave_index].size());
-        DhsCountOptions options;
-        options.lim_override = wave.lim_override;
-        auto replay = twin->CountMany(wave.origin, wave.metric_ids,
-                                      replay_rng, options);
+        auto replay = twin->CountMany(wave.origin, wave.metric_ids, replay_rng);
         CHECK_OK(replay);
         for (size_t i : wave_groups[wave_index]) {
           const DhsClient::MultiCountResult& served = results[i];
@@ -249,7 +242,6 @@ CountLeg RunCountLeg(const Workload& w, bool loopback, bool coalesce,
   leg.coalesced = serving.stats().coalesced;
   leg.messages = net->stats().messages - messages_before;
   leg.per_sec = static_cast<double>(w.reqs) / leg.wall;
-  leg.lim_final = serving.lim_override();
   CHECK_OK(net->AuditFull());
   CHECK_OK(twin_net->AuditFull());
   return leg;
@@ -281,13 +273,13 @@ bool WriteJson(const std::string& path, const Workload& w,
                  "    {\"transport\": \"%s\", \"mode\": \"%s\", "
                  "\"requests\": %d, \"waves\": %llu, \"coalesced\": %llu, "
                  "\"messages\": %llu, \"counts_per_sec\": %s, "
-                 "\"speedup_vs_uncoalesced\": %s, \"lim_final\": %d}%s\n",
+                 "\"speedup_vs_uncoalesced\": %s}%s\n",
                  c.transport.c_str(), c.mode.c_str(), c.requests,
                  static_cast<unsigned long long>(c.waves),
                  static_cast<unsigned long long>(c.coalesced),
                  static_cast<unsigned long long>(c.messages),
                  StableDouble(c.per_sec).c_str(),
-                 StableDouble(c.speedup).c_str(), c.lim_final,
+                 StableDouble(c.speedup).c_str(),
                  i + 1 < counts.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -303,7 +295,7 @@ void Run() {
                                     ? json_env
                                     : "BENCH_serving.json";
 
-  PrintHeader("P6: serving throughput (coalescing, lim tuner)",
+  PrintHeader("P6: serving throughput (coalescing)",
               "nodes=" + std::to_string(w.nodes) +
                   ", tenants=" + std::to_string(w.tenants) +
                   ", reqs=" + std::to_string(w.reqs) +
@@ -314,15 +306,13 @@ void Run() {
   std::vector<CountLeg> counts;
   for (bool loopback : {false, true}) {
     double baseline_per_sec = 0.0;
-    for (int mode = 0; mode < 3; ++mode) {
-      const bool coalesce = mode > 0;
-      const bool tune = mode == 2;
-      counts.push_back(RunCountLeg(w, loopback, coalesce, tune));
+    for (bool coalesce : {false, true}) {
+      counts.push_back(RunCountLeg(w, loopback, coalesce));
       CountLeg& leg = counts.back();
-      if (mode == 0) {
-        baseline_per_sec = leg.per_sec;
-      } else {
+      if (coalesce) {
         leg.speedup = leg.per_sec / baseline_per_sec;
+      } else {
+        baseline_per_sec = leg.per_sec;
       }
       PrintRow({leg.transport, leg.mode, std::to_string(leg.waves),
                 std::to_string(leg.messages), FormatDouble(leg.per_sec, 0),
@@ -331,18 +321,18 @@ void Run() {
     // The acceptance ratio, gated at the default workload (knob-reduced
     // runs may not batch enough requests per flush to guarantee it).
     if (w.reqs >= 512 && w.batch >= 16) {
-      CHECK(counts[counts.size() - 2].speedup >= 2.0)
-          << counts[counts.size() - 2].transport
+      CHECK(counts.back().speedup >= 2.0)
+          << counts.back().transport
           << ": coalescing speedup below the 2x acceptance floor";
     }
   }
 
   PrintPaperNote(
       "Not a paper experiment: the paper's evaluation issues one count at "
-      "a time. This leg prices the serving front end (coalescing, online "
-      "lim tuning) that a production deployment would "
-      "put in front of Sec. 3's protocols, with answers gated to be "
-      "byte-identical to the unoptimized path.");
+      "a time. This leg prices the serving front end (count coalescing) "
+      "that a production deployment would put in front of Sec. 3's "
+      "protocols, with answers gated to be byte-identical to the "
+      "unoptimized path.");
 
   if (WriteJson(json_path, w, counts)) {
     std::printf("wrote %s\n", json_path.c_str());

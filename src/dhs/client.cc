@@ -1,37 +1,24 @@
 #include "dhs/client.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/bit_util.h"
 #include "common/check.h"
 #include "dht/fault.h"
 #include "dht/wire.h"
-#include "dhs/lim.h"
 #include "sketch/estimator.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/rho.h"
 
 namespace dhs {
 
-uint64_t RetryBackoffTicks(uint64_t base_ticks, int attempt) {
-  if (base_ticks == 0) return 0;
-  const int shift = std::clamp(attempt, 0, 63);
-  if (base_ticks > (std::numeric_limits<uint64_t>::max() >> shift)) {
-    return std::numeric_limits<uint64_t>::max();
-  }
-  return base_ticks << shift;
-}
-
 DhsClient::DhsClient(DhtNetwork* network, const DhsConfig& config,
                      std::shared_ptr<Transport> transport)
     : network_(network),
       transport_(std::move(transport)),
       config_(config),
-      mapping_(network->space(), config),
-      space_bits_cached_(network->space().bits()) {}
+      mapping_(network->space(), config) {}
 
 StatusOr<DhsClient> DhsClient::Create(DhtNetwork* network,
                                       const DhsConfig& config) {
@@ -58,10 +45,14 @@ StatusOr<DhsClient> DhsClient::Create(DhtNetwork* network,
 DhsPlacement DhsClient::PlaceItem(uint64_t item_hash) const {
   // Vector selection uses hash bits above the k low-order bits, so that
   // rho keeps the full k-bit range and the DHT interval layout (hence the
-  // counting cost) is independent of m.
+  // counting cost) is independent of m. With m = 1 there are no index
+  // bits, and k may be 64, where `item_hash >> k` is undefined.
   DhsPlacement placement;
-  placement.vector_id =
-      static_cast<int>(LowBits(item_hash >> config_.k, config_.IndexBits()));
+  const int index_bits = config_.IndexBits();
+  if (index_bits > 0) {
+    placement.vector_id =
+        static_cast<int>(LowBits(item_hash >> config_.k, index_bits));
+  }
   placement.rho = Rho(LowBits(item_hash, config_.k), config_.RhoBits());
   return placement;
 }
@@ -163,10 +154,6 @@ StatusOr<Transport::Delivery> DhsClient::RouteFrameWithRetry(
     if (attempt + 1 >= config_.retry_attempts) return delivery.status();
     cost->retries += 1;
     TraceRetry(network_, "lookup", attempt + 1);
-    if (config_.retry_backoff_ticks > 0) {
-      network_->AdvanceClock(
-          RetryBackoffTicks(config_.retry_backoff_ticks, attempt));
-    }
   }
 }
 
@@ -188,10 +175,6 @@ StatusOr<Transport::Delivery> DhsClient::SendFrameWithRetry(
     if (attempt + 1 >= config_.retry_attempts) return delivery.status();
     cost->retries += 1;
     TraceRetry(network_, "direct_hop", attempt + 1);
-    if (config_.retry_backoff_ticks > 0) {
-      network_->AdvanceClock(
-          RetryBackoffTicks(config_.retry_backoff_ticks, attempt));
-    }
   }
 }
 
@@ -234,10 +217,9 @@ Status DhsClient::StoreTuple(uint64_t origin_node, uint64_t metric_id,
   int extra_needed = config_.replication - 1;
   if (extra_needed <= 0) return Status::OK();
 
-  // Replica copies reuse the primary's expiry even if retries advance
-  // the clock below, so all copies of a group age out together: the
-  // replica frame carries the *absolute* tick the primary's TTL
-  // resolved to.
+  // Replica copies reuse the primary's expiry, so all copies of a group
+  // age out together: the replica frame carries the *absolute* tick the
+  // primary's TTL resolved to.
   const uint64_t ttl = config_.ttl_ticks;
   PutFrame replica_put = put;
   replica_put.absolute_expiry = true;
@@ -353,33 +335,6 @@ std::vector<int> DhsClient::ProbeNodeForMetric(uint64_t node,
   return std::move(decoded->vector_ids);
 }
 
-int DhsClient::LimForBit(int bit, const DhsCountOptions& options) const {
-  const int flat = options.lim_override > 0
-                       ? std::clamp(options.lim_override, 1, config_.max_lim)
-                       : config_.lim;
-  if (!config_.adaptive_lim || config_.expected_cardinality == 0) {
-    return flat;
-  }
-  auto interval = mapping_.IntervalForBit(bit);
-  if (!interval.ok()) return flat;
-  // Expected nodes in the interval (N') and items mapped to it (n', over
-  // all bitmaps): eq. 6 then gives the probes needed for the configured
-  // hit probability. Sub-node intervals have at most a couple of
-  // holders; the flat lim suffices there.
-  const double fraction =
-      std::ldexp(static_cast<double>(interval->size),
-                 -space_bits_cached_);
-  const double n_bins = fraction * static_cast<double>(network_->NumNodes());
-  if (n_bins < 2.0) return flat;
-  const double n_items = std::ldexp(
-      static_cast<double>(config_.expected_cardinality), -(bit + 1));
-  const int required = RequiredProbesReplicated(
-      static_cast<uint64_t>(n_bins), static_cast<uint64_t>(n_items),
-      config_.m, config_.replication,
-      /*p_miss=*/1.0 - config_.adaptive_confidence);
-  return std::clamp(required, flat, config_.max_lim);
-}
-
 template <typename VisitFn, typename DoneFn>
 Status DhsClient::ProbeInterval(uint64_t origin_node, int bit,
                                 const DhsCountOptions& options, Rng& rng,
@@ -389,7 +344,8 @@ Status DhsClient::ProbeInterval(uint64_t origin_node, int bit,
   auto interval_or = mapping_.IntervalForBit(bit);
   if (!interval_or.ok()) return interval_or.status();
   const IdInterval interval = *interval_or;
-  const int lim = LimForBit(bit, options);
+  const int lim =
+      options.lim_override > 0 ? options.lim_override : config_.lim;
 
   ScopedSpan span(network_->tracer(), "probe_interval");
   if (span.active()) {
@@ -579,7 +535,7 @@ StatusOr<DhsClient::MultiCountResult> DhsClient::CountManySll(
   if (config_.frontier_cache && !result.gave_up &&
       result.cost.failed_probes == 0) {
     for (size_t mi = 0; mi < num_metrics; ++mi) {
-      StoreFrontier(metric_ids[mi], result.observables[mi]);
+      frontier_[metric_ids[mi]] = result.observables[mi];
     }
   }
 
@@ -600,21 +556,6 @@ StatusOr<DhsClient::MultiCountResult> DhsClient::CountManySll(
             : SuperLogLogEstimateFromM(observed, config_.theta0));
   }
   return result;
-}
-
-void DhsClient::StoreFrontier(uint64_t metric_id,
-                              const std::vector<int>& observables) {
-  auto it = frontier_.find(metric_id);
-  if (it != frontier_.end()) {
-    it->second = observables;
-    return;
-  }
-  if (config_.frontier_max_entries > 0 &&
-      frontier_.size() >=
-          static_cast<size_t>(config_.frontier_max_entries)) {
-    frontier_.erase(frontier_.begin());
-  }
-  frontier_.emplace(metric_id, observables);
 }
 
 StatusOr<DhsClient::MultiCountResult> DhsClient::CountManyPcsa(

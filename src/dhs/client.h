@@ -25,16 +25,6 @@
 
 namespace dhs {
 
-/// Backoff delay before retry `attempt` (0-based): base_ticks doubled
-/// per attempt, with the shift clamped to 63 and the product saturated
-/// at UINT64_MAX instead of the historical unchecked `base << attempt`
-/// (undefined behaviour from attempt 64 on, silent overflow before
-/// that). DhsConfig::Validate additionally rejects configs whose
-/// deepest reachable shift would overflow, so a validated client never
-/// saturates; the clamp protects direct callers and future config
-/// surface.
-uint64_t RetryBackoffTicks(uint64_t base_ticks, int attempt);
-
 /// Cost of one DHS operation, in the paper's metrics, plus the
 /// fault-tolerance accounting (retries issued, probes abandoned,
 /// replication achieved). Every *issued* message attempt — including
@@ -96,13 +86,11 @@ struct DhsPlacement {
   int rho = 0;        // bit position in [0, RhoBits()]
 };
 
-/// Per-count overrides, threaded through CountMany by callers that
-/// manage the probe budget themselves (the serving layer's online lim
-/// tuner). Defaults leave the configured behaviour untouched.
+/// Per-count overrides for CountMany. Defaults leave the configured
+/// behaviour untouched.
 struct DhsCountOptions {
-  /// > 0: replaces the configured flat `lim` for this count (and the
-  /// adaptive floor when adaptive_lim is on), clamped to
-  /// [1, config.max_lim]. 0 = use config.lim.
+  /// > 0: this count's per-interval probe budget, in place of
+  /// config.lim. 0 = use config.lim.
   int lim_override = 0;
 };
 
@@ -195,7 +183,6 @@ class DhsClient {
   void InvalidateFrontier(uint64_t metric_id) { frontier_.erase(metric_id); }
 
   /// Frontier-cache introspection (tests and the serving layer).
-  size_t FrontierEntries() const { return frontier_.size(); }
   bool HasFrontier(uint64_t metric_id) const {
     return frontier_.count(metric_id) > 0;
   }
@@ -222,12 +209,13 @@ class DhsClient {
 
   /// Routes an encoded frame with the configured retry policy:
   /// re-issues the frame on transient failures (Unavailable /
-  /// DeadlineExceeded), sleeping RetryBackoffTicks(backoff, attempt)
-  /// between attempts. Every issued attempt is charged to cost
-  /// (dht_lookups; hops/bytes only on success — a faulted frame does no
-  /// observable work); re-issues count as retries. Non-transient errors
-  /// are terminal and uncharged (the transport rejected the frame
-  /// without sending it). `accounted_bytes` is the frame's §5.1 payload
+  /// DeadlineExceeded), up to config_.retry_attempts attempts, each sent
+  /// at once: the virtual clock does not advance between them. Every
+  /// attempt sent is charged to cost (dht_lookups; hops/bytes only on
+  /// success — a faulted frame does no observable work); each resend
+  /// counts as a retry. Non-transient errors are terminal and uncharged
+  /// (the transport rejected the frame without sending it).
+  /// `accounted_bytes` is the frame's §5.1 payload
   /// (AccountedPayloadBytes), charged per hop on delivery.
   [[nodiscard]] StatusOr<Transport::Delivery> RouteFrameWithRetry(
       uint64_t origin_node, const std::string& frame, size_t accounted_bytes,
@@ -249,16 +237,16 @@ class DhsClient {
                     const std::vector<int>& vector_ids, Rng& rng,
                     DhsCostReport* cost);
 
-  /// Probes the interval of bit r: up to config_.lim nodes starting from
-  /// a random in-interval target, walking the overlay's candidate order
-  /// (Alg. 1 lines 3-17). Calls visit(node_id) for each probed node and
-  /// lets the caller decide when the interval is exhausted via
-  /// `done()`. A candidate that cannot be reached (dead, or transient
-  /// failures through all retries) is skipped (failed_probes) and the
-  /// walk continues from the last reached node; when the *initial*
-  /// routed lookup fails through all retries the interval is abandoned:
-  /// `*abandoned` is set and OK is returned so the count can continue
-  /// degraded.
+  /// Probes the interval of bit r: up to lim nodes (options.lim_override,
+  /// else config_.lim) starting from a random in-interval target,
+  /// walking the overlay's candidate order (Alg. 1 lines 3-17). Calls
+  /// visit(node_id) for each probed node and lets the caller decide when
+  /// the interval is exhausted via `done()`. A candidate that cannot be
+  /// reached (dead, or transient failures through all retries) is
+  /// skipped (failed_probes) and the walk continues from the last
+  /// reached node; when the *initial* routed lookup fails through all
+  /// retries the interval is abandoned: `*abandoned` is set and OK is
+  /// returned so the count can continue degraded.
   template <typename VisitFn, typename DoneFn>
   [[nodiscard]] Status ProbeInterval(uint64_t origin_node, int bit,
                        const DhsCountOptions& options, Rng& rng,
@@ -270,22 +258,12 @@ class DhsClient {
   std::vector<int> ProbeNodeForMetric(uint64_t node, uint64_t metric_id,
                                       int bit, DhsCostReport* cost);
 
-  /// Probe budget for bit r: the flat lim (config, or the options
-  /// override), or the eq. 6 value for the interval's expected density
-  /// when adaptive_lim is enabled (the flat lim stays the floor).
-  int LimForBit(int bit, const DhsCountOptions& options) const;
-
   [[nodiscard]] StatusOr<MultiCountResult> CountManySll(
       uint64_t origin_node, const std::vector<uint64_t>& metric_ids, Rng& rng,
       const DhsCountOptions& options);
   [[nodiscard]] StatusOr<MultiCountResult> CountManyPcsa(
       uint64_t origin_node, const std::vector<uint64_t>& metric_ids, Rng& rng,
       const DhsCountOptions& options);
-
-  /// Caches `observables` as `metric_id`'s frontier, enforcing the
-  /// config_.frontier_max_entries bound (evicting the lowest cached
-  /// metric id when full — deterministic, so twin worlds agree).
-  void StoreFrontier(uint64_t metric_id, const std::vector<int>& observables);
 
   /// Client-level op instruments, one set per root operation.
   enum OpIndex { kOpInsert = 0, kOpInsertBatch, kOpCount, kNumOps };
@@ -314,7 +292,6 @@ class DhsClient {
   std::shared_ptr<Transport> transport_;
   DhsConfig config_;
   BitMapping mapping_;
-  int space_bits_cached_ = 64;  // L, for eq. 6 density computations
 
   /// Registry the cached op instruments were interned against.
   MetricsRegistry* metrics_cached_ = nullptr;

@@ -1,7 +1,5 @@
 #include "dhs/config.h"
 
-#include <limits>
-
 #include "common/bit_util.h"
 
 namespace dhs {
@@ -47,33 +45,11 @@ Status DhsConfig::Validate(const IdSpace& space) const {
   if (retry_attempts < 1) {
     return Status::InvalidArgument("retry_attempts must be >= 1");
   }
-  if (retry_backoff_ticks > 0) {
-    // The backoff ladder doubles per attempt (client.h
-    // RetryBackoffTicks); the deepest shift a run can reach must not
-    // overflow the 64-bit tick counter, or the virtual clock would leap
-    // to nonsense on the last retries.
-    const int max_shift = retry_attempts - 1;
-    if (max_shift >= 64 ||
-        retry_backoff_ticks >
-            (std::numeric_limits<uint64_t>::max() >> max_shift)) {
-      return Status::InvalidArgument(
-          "retry_backoff_ticks << (retry_attempts - 1) must fit in 64 bits");
-    }
-  }
   if (shift_bits < 0 || shift_bits >= RhoBits()) {
-    return Status::InvalidArgument("shift_bits must be in [0, k - log2 m)");
+    return Status::InvalidArgument("shift_bits must be in [0, k)");
   }
   if (theta0 <= 0.0 || theta0 > 1.0) {
     return Status::InvalidArgument("theta0 must be in (0, 1]");
-  }
-  if (adaptive_confidence <= 0.0 || adaptive_confidence >= 1.0) {
-    return Status::InvalidArgument("adaptive_confidence must be in (0, 1)");
-  }
-  if (max_lim < lim) {
-    return Status::InvalidArgument("max_lim must be >= lim");
-  }
-  if (frontier_max_entries < 0) {
-    return Status::InvalidArgument("frontier_max_entries must be >= 0");
   }
   return Status::OK();
 }

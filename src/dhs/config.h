@@ -40,24 +40,9 @@ struct DhsConfig {
 
   /// Max probes (initial + successor/predecessor retries) per ID-space
   /// interval during counting (§4.1; default 5 guarantees >= 0.99 hit
-  /// probability when n >= m * N).
+  /// probability when n >= m * N). One flat budget for every interval;
+  /// a single count may replace it (DhsCountOptions::lim_override).
   int lim = 5;
-
-  /// §4.1: "there is a different optimal lim for every ID-space
-  /// interval". When enabled (and expected_cardinality is set), the
-  /// counting walk computes each interval's probe budget from eq. 6
-  /// instead of using the flat `lim` — more probes for sparse intervals,
-  /// fewer for saturated ones. `lim` remains the floor.
-  bool adaptive_lim = false;
-
-  /// Cardinality hint for the adaptive limit — the paper's "maximum
-  /// cardinality estimated" n_max (eq. 3 makes the same assumption for
-  /// sizing hashes). 0 disables adaptation.
-  uint64_t expected_cardinality = 0;
-
-  /// Hit-probability target p of eq. 6 and cap on the adaptive budget.
-  double adaptive_confidence = 0.99;
-  int max_lim = 200;
 
   /// Replication degree: total copies of each DHS tuple (1 = only the
   /// responsible node). Extra copies go to the overlay's
@@ -70,14 +55,9 @@ struct DhsConfig {
   /// message (lookup or direct probe) is attempted before the client
   /// gives up on it. 1 = no retries. Transient means Unavailable or
   /// DeadlineExceeded, the codes a FaultPlan produces; other errors are
-  /// terminal immediately.
+  /// terminal immediately. A retry is sent at once: the virtual clock
+  /// does not advance between attempts.
   int retry_attempts = 4;
-
-  /// Virtual-clock ticks slept before the first retry; doubles per
-  /// subsequent retry (exponential backoff). 0 = retry immediately
-  /// without advancing the clock (the default: backoff ages soft state,
-  /// which only matters when ttl_ticks is finite).
-  uint64_t retry_backoff_ticks = 0;
 
   /// §3.5 bit-shift rule: disregard the first shift_bits bits of each
   /// item, assigning the i-th DHT interval to the (i + shift_bits)-th bit.
@@ -102,12 +82,6 @@ struct DhsConfig {
   /// leftmost-zero scan is low -> high). Hits/misses are exported as
   /// dhs_frontier_cache_{hits,misses}_total when metrics are attached.
   bool frontier_cache = false;
-
-  /// Upper bound on cached frontier entries (distinct metrics); when
-  /// full, caching a new metric evicts the lowest metric id first (a
-  /// deterministic rule, so twin worlds with equal configs stay
-  /// byte-identical). 0 = unbounded.
-  int frontier_max_entries = 0;
 
   /// Debug-audit mode: when set, the client runs the full invariant
   /// audit (DhtNetwork::CheckInvariants + DhsClient::AuditFull, both

@@ -11,13 +11,13 @@
 // root-span reconciliation invariant holds unchanged.
 //
 // Counts are the client's Alg. 1: a front-door count pays exactly the
-// sequential client's cost (early exit, frontier cache,
-// retry_backoff_ticks, crash faults and all), and for a fixed seed its
-// result equals a plain DhsClient's field for field. Without faults a
-// front-door InsertBatch equals the client's too (both pinned by
-// tests/dht/shard_test.cc). Two divergences remain on inserts (DESIGN.md
-// "Insert engine"): retries do not advance the virtual clock, and crash
-// plans are refused.
+// sequential client's cost (early exit, frontier cache, crash faults
+// and all), and for a fixed seed its result equals a plain DhsClient's
+// field for field. Without faults a front-door InsertBatch equals the
+// client's too (both pinned by tests/dht/shard_test.cc). Two
+// differences remain on inserts (DESIGN.md "Insert engine"): crash
+// plans are refused, and under message faults each op draws its faults
+// from its own derived stream instead of the plan's sequence.
 //
 // The front door exists only because the repository benchmark still
 // drives it; it goes together with the executor.

@@ -79,31 +79,4 @@ double HitProbability(uint64_t n_bins, uint64_t n_items, int lim) {
   return 1.0 - ProbAllProbesEmpty(n_bins, n_items, lim);
 }
 
-int FlatLimTarget(uint64_t nodes, uint64_t cardinality, int min_bit,
-                  int max_bit, int m, int replication, double p_miss,
-                  int floor, int ceiling) {
-  CHECK(floor >= 1 && ceiling >= floor)
-      << "floor = " << floor << " ceiling = " << ceiling;
-  CHECK(min_bit >= 0 && max_bit >= min_bit)
-      << "min_bit = " << min_bit << " max_bit = " << max_bit;
-  CHECK(p_miss > 0.0 && p_miss < 1.0) << "p_miss = " << p_miss;
-  if (nodes < 2 || cardinality == 0) return floor;
-  int target = floor;
-  for (int r = min_bit; r <= max_bit; ++r) {
-    const double n_bins = std::ldexp(static_cast<double>(nodes),
-                                     -(r - min_bit + 1));
-    // Intervals shrink geometrically with r, so once one drops below
-    // two expected nodes every later one has too.
-    if (n_bins < 2.0) break;
-    const double n_items =
-        std::ldexp(static_cast<double>(cardinality), -(r + 1));
-    if (n_items < 1.0) continue;
-    const int required = RequiredProbesReplicated(
-        static_cast<uint64_t>(n_bins), static_cast<uint64_t>(n_items), m,
-        replication, p_miss);
-    target = std::max(target, required);
-  }
-  return std::clamp(target, floor, ceiling);
-}
-
 }  // namespace dhs

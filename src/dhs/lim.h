@@ -5,6 +5,9 @@
 // probed bit. Eq. 5 gives the probability that t successive probes are
 // all empty; solving for t yields the number of probes needed to find a
 // non-empty node with probability >= p.
+//
+// Counting walks every interval with one flat budget (DhsConfig::lim);
+// these functions are the analysis that sizes it, not a runtime input.
 
 #ifndef DHS_DHS_LIM_H_
 #define DHS_DHS_LIM_H_
@@ -43,23 +46,6 @@ int RequiredProbesReplicated(uint64_t n_bins, uint64_t n_items, int m,
 /// The paper's guarantee behind the default lim = 5: hit probability of
 /// one probe batch, i.e. 1 - ProbAllProbesEmpty(N', n', lim).
 double HitProbability(uint64_t n_bins, uint64_t n_items, int lim);
-
-/// The eq. 5/6 set point for a *flat* probe budget covering a whole
-/// counting scan: the max over bit positions r in [min_bit, max_bit]
-/// of RequiredProbesReplicated evaluated at that interval's geometric
-/// node/item split — interval i = r - min_bit holds an expected
-/// nodes * 2^-(i+1) of the overlay, and the items with rho = r are
-/// cardinality * 2^-(r+1) (the two exponents differ only under the
-/// §3.5 bit-shift rule, where min_bit > 0). Intervals expected to hold
-/// < 1 item are skipped (an empty-handed walk there is the correct
-/// outcome, not a miss to insure against), as are sub-2-node intervals
-/// (the flat floor suffices). The result is clamped to
-/// [floor, ceiling]; DhsServing's online lim tuner converges to this
-/// value, replacing the static expected_cardinality hint with the
-/// served estimates themselves.
-int FlatLimTarget(uint64_t nodes, uint64_t cardinality, int min_bit,
-                  int max_bit, int m, int replication, double p_miss,
-                  int floor, int ceiling);
 
 }  // namespace dhs
 

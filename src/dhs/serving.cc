@@ -1,65 +1,16 @@
 #include "dhs/serving.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "common/check.h"
-#include "dhs/lim.h"
 #include "obs/trace.h"
 
 namespace dhs {
-
-Status DhsServingConfig::Validate() const {
-  if (tuner_gain <= 0.0 || tuner_gain > 1.0) {
-    return Status::InvalidArgument("tuner_gain must be in (0, 1]");
-  }
-  if (tuner_floor < 1) {
-    return Status::InvalidArgument("tuner_floor must be >= 1");
-  }
-  if (tuner_ceiling != 0 && tuner_ceiling < tuner_floor) {
-    return Status::InvalidArgument("tuner_ceiling must be 0 or >= tuner_floor");
-  }
-  if (tuner_p_miss < 0.0 || tuner_p_miss >= 1.0) {
-    return Status::InvalidArgument("tuner_p_miss must be in [0, 1)");
-  }
-  return Status::OK();
-}
-
-LimTuner::LimTuner(int initial, int floor, int ceiling, double gain)
-    : lim_(std::clamp(initial, floor, ceiling)),
-      floor_(floor),
-      ceiling_(ceiling),
-      gain_(gain) {
-  CHECK(floor >= 1 && ceiling >= floor) << "invalid tuner clamp range";
-  CHECK(gain > 0.0 && gain <= 1.0) << "invalid tuner gain";
-}
-
-void LimTuner::Observe(int target, bool degraded) {
-  target_ = std::clamp(target, floor_, ceiling_);
-  ++observations_;
-  // A degraded wave says the prediction was optimistic for the live
-  // world (faults, churn): aim one band above it so the next waves
-  // have slack to complete.
-  const int goal =
-      degraded ? std::min(target_ + band(), ceiling_) : target_;
-  const int gap = goal - lim_;
-  if (gap == 0) return;
-  // Damped step: close `gain` of the gap, always at least one probe of
-  // progress, never past the goal (gain <= 1 implies step <= |gap|).
-  const int step = std::max(
-      1,
-      static_cast<int>(std::ceil(gain_ * static_cast<double>(std::abs(gap)))));
-  lim_ = std::clamp(lim_ + (gap > 0 ? step : -step), floor_, ceiling_);
-}
 
 StatusOr<DhsServing> DhsServing::Create(DhsFrontDoor* front_door,
                                         const DhsServingConfig& config) {
   if (front_door == nullptr) {
     return Status::InvalidArgument("front door must not be null");
   }
-  Status s = config.Validate();
-  if (!s.ok()) return s;
   return DhsServing(front_door, front_door->client(), config);
 }
 
@@ -68,22 +19,12 @@ StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
   if (client == nullptr) {
     return Status::InvalidArgument("client must not be null");
   }
-  Status s = config.Validate();
-  if (!s.ok()) return s;
   return DhsServing(nullptr, client, config);
 }
 
 DhsServing::DhsServing(DhsFrontDoor* door, DhsClient* client,
                        const DhsServingConfig& config)
-    : door_(door),
-      client_(client),
-      config_(config),
-      tune_lim_(config.tune_lim),
-      tuner_(/*initial=*/client->config().lim, config.tuner_floor,
-             /*ceiling=*/config.tuner_ceiling > 0
-                 ? std::max(config.tuner_ceiling, config.tuner_floor)
-                 : std::max(client->config().max_lim, config.tuner_floor),
-             config.tuner_gain) {}
+    : door_(door), client_(client), config_(config) {}
 
 void DhsServing::MaybeAttachMetrics() {
   MetricsRegistry* registry = network()->metrics();
@@ -182,18 +123,15 @@ void DhsServing::FlushCounts(Rng& rng) {
 
 void DhsServing::RunCountWave(const std::vector<size_t>& group, Rng& rng) {
   const PendingCount& head = pending_counts_[group.front()];
-  DhsCountOptions options;
-  options.lim_override = lim_override();
 
   ServingWave wave;
   wave.kind = ServingWave::kCountWave;
   wave.origin = head.origin;
   wave.metric_ids = head.metric_ids;
-  wave.lim_override = options.lim_override;
   wave.waiters = group.size();
   wave_log_.push_back(std::move(wave));
 
-  auto result = client_->CountMany(head.origin, head.metric_ids, rng, options);
+  auto result = client_->CountMany(head.origin, head.metric_ids, rng);
   ++stats_.count_waves;
   stats_.coalesced += group.size() - 1;
   metrics_.RecordCountWave();
@@ -222,7 +160,7 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
   const bool degraded = result.gave_up || result.cost.failed_probes > 0;
   if (degraded) ++stats_.degraded_waves;
 
-  if (degraded && config_.invalidate_on_fault && config().frontier_cache) {
+  if (degraded && config().frontier_cache) {
     // The wave's degradation is evidence of faults or churn under the
     // cache; drop the served metrics' frontiers so the next count
     // re-establishes them from a full sweep. Logged so replay mirrors
@@ -238,30 +176,6 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
     }
     metrics_.RecordFaultInvalidation(head.metric_ids.size());
   }
-
-  if (!tune_lim_) return;
-  // Feed the tuner the eq. 5/6 prediction for the cardinality this
-  // wave actually observed (max over the served metrics: lim must
-  // cover the busiest one).
-  double max_estimate = 0.0;
-  for (double e : result.estimates) max_estimate = std::max(max_estimate, e);
-  const uint64_t cardinality =
-      max_estimate > 0.0 ? static_cast<uint64_t>(std::llround(max_estimate))
-                         : 0;
-  const DhsConfig& backend = config();
-  const BitMapping& mapping = client_->mapping();
-  const double p_miss = config_.tuner_p_miss > 0.0
-                            ? config_.tuner_p_miss
-                            : 1.0 - backend.adaptive_confidence;
-  const int target = FlatLimTarget(
-      static_cast<uint64_t>(network()->NumNodes()), cardinality,
-      mapping.MinBit(), mapping.MaxBit(), backend.m, backend.replication,
-      p_miss, config_.tuner_floor,
-      config_.tuner_ceiling > 0
-          ? std::max(config_.tuner_ceiling, config_.tuner_floor)
-          : std::max(backend.max_lim, config_.tuner_floor));
-  tuner_.Observe(target, degraded);
-  metrics_.RecordLim(tuner_.lim());
 }
 
 StatusOr<DhsClient::MultiCountResult> DhsServing::TakeCount(uint64_t ticket) {

@@ -13,13 +13,8 @@
 //   * Frontier cache — the backend's memoized flat-bit frontier
 //     (client.h) answers repeat counts from the cached start bit; the
 //     serving layer closes the invalidation loop, invalidating on
-//     inserts (backend-side), on degraded count waves
-//     (invalidate_on_fault) and on external signals
-//     (InvalidateMetric, e.g. a maintainer migration).
-//   * Adaptive lim — an online tuner (LimTuner) nudges the count probe
-//     budget toward the eq. 5/6 prediction (lim.h FlatLimTarget) from
-//     observed wave outcomes, passed to the backend as
-//     DhsCountOptions::lim_override.
+//     inserts (backend-side), on every degraded count wave and on
+//     external signals (InvalidateMetric, e.g. a maintainer migration).
 //
 // Headline guarantee: served answers are byte-identical to the
 // unoptimized path under fixed seeds. Every wave is appended to a
@@ -33,7 +28,6 @@
 #define DHS_DHS_SERVING_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
@@ -49,65 +43,13 @@ namespace dhs {
 struct DhsServingConfig {
   /// Merge pending counts of the same metric set into one wave.
   bool coalesce_counts = true;
-  /// Invalidate the cached frontier of every metric served by a
-  /// degraded count wave (gave_up or failed probes): the degradation
-  /// is evidence the world changed under the cache.
-  bool invalidate_on_fault = true;
-
-  /// Enable the online lim tuner. Off by default: with the tuner off
-  /// the serving layer never overrides the backend's configured lim.
-  bool tune_lim = false;
-  /// Fraction of the gap to the eq. 5/6 target closed per observation
-  /// (damped so a noisy single wave cannot whipsaw the budget).
-  double tuner_gain = 0.5;
-  /// Clamp range for the tuned lim; ceiling 0 means the backend's
-  /// max_lim.
-  int tuner_floor = 1;
-  int tuner_ceiling = 0;
-  /// Residual miss probability fed to the eq. 5/6 calculator; 0 means
-  /// 1 - backend adaptive_confidence.
-  double tuner_p_miss = 0.0;
-
-  Status Validate() const;
-};
-
-/// Online probe-budget tuner: one damped step per observed count wave
-/// toward the eq. 5/6 required-probes target, with degraded waves
-/// pushing the goal one band above the target (the wave's outcome says
-/// the prediction was optimistic). Deterministic: the trajectory is a
-/// pure function of the observation sequence.
-class LimTuner {
- public:
-  LimTuner(int initial, int floor, int ceiling, double gain);
-
-  /// Feeds one count-wave outcome: `target` is the eq. 5/6 prediction
-  /// for the wave's observed cardinality, `degraded` whether the wave
-  /// gave up or skipped probe candidates.
-  void Observe(int target, bool degraded);
-
-  int lim() const { return lim_; }
-  int target() const { return target_; }
-  /// Convergence tolerance: one "retry band" around the target.
-  int band() const { return target_ > 0 ? (target_ + 3) / 4 : 1; }
-  bool Converged() const {
-    return observations_ > 0 && std::abs(lim_ - target_) <= band();
-  }
-  int observations() const { return observations_; }
-
- private:
-  int lim_;
-  int floor_;
-  int ceiling_;
-  double gain_;
-  int target_ = 0;
-  int observations_ = 0;
 };
 
 /// One executed serving decision, in execution order. Replaying the
 /// log against a plain backend (same world, same seed) reproduces the
 /// serving layer's answers byte for byte:
 ///   kInsertWave  -> InsertBatch(origin, metric_id, hashes)
-///   kCountWave   -> CountMany(origin, metric_ids, {lim_override})
+///   kCountWave   -> CountMany(origin, metric_ids)
 ///   kInvalidate  -> InvalidateFrontier(metric_id)
 struct ServingWave {
   enum Kind { kInsertWave, kCountWave, kInvalidate };
@@ -116,7 +58,7 @@ struct ServingWave {
   uint64_t metric_id = 0;             // kInsertWave / kInvalidate
   std::vector<uint64_t> metric_ids;   // kCountWave
   std::vector<uint64_t> hashes;       // kInsertWave
-  int lim_override = 0;               // kCountWave (0 = backend lim)
+  int lim_override = 0;               // kCountWave: always 0 (backend lim)
   size_t waiters = 1;                 // requests answered by this wave
 };
 
@@ -180,11 +122,6 @@ class DhsServing {
   const std::vector<ServingWave>& wave_log() const { return wave_log_; }
   void ClearWaveLog() { wave_log_.clear(); }
 
-  /// Null unless tune_lim is on.
-  const LimTuner* tuner() const { return tune_lim_ ? &tuner_ : nullptr; }
-  /// The lim_override the next count wave will carry (0 = none).
-  int lim_override() const { return tune_lim_ ? tuner_.lim() : 0; }
-
   size_t PendingCounts() const { return pending_counts_.size(); }
   size_t PendingInserts() const { return pending_inserts_.size(); }
 
@@ -211,15 +148,14 @@ class DhsServing {
   /// Executes one coalesced count wave and fans the result out to
   /// `group` (ticket indices into pending_counts_).
   void RunCountWave(const std::vector<size_t>& group, Rng& rng);
-  /// Tuner + invalidate-on-fault bookkeeping after a completed wave.
+  /// Degraded-wave bookkeeping after a completed wave: counts it and,
+  /// when the backend caches frontiers, invalidates the served metrics.
   void ObserveCountWave(const PendingCount& head,
                         const DhsClient::MultiCountResult& result);
 
   DhsFrontDoor* door_;  // null for the sequential backend
   DhsClient* client_;   // config, network, mapping and frontier cache
   DhsServingConfig config_;
-  bool tune_lim_;
-  LimTuner tuner_;
   ServingMetrics metrics_;
   MetricsRegistry* metrics_attached_ = nullptr;
   void MaybeAttachMetrics();

@@ -11,9 +11,11 @@
 //   * Fault decisions come from per-operation derived streams,
 //     FaultPlan::DecisionFor(config, OpFaultSeq(op_ordinal, pos)) — a
 //     pure function of the op's position, so replayers can predict the
-//     schedule. The plan's own seq() is never advanced. Retries do not
-//     advance the virtual clock: a batch runs at one instant.
+//     schedule. The plan's own seq() is never advanced.
 //   * Crash faults are rejected (ExecuteBatch fails InvalidArgument).
+//
+// As in the client, retries do not advance the virtual clock, so a
+// batch runs at one instant.
 //
 // Each op records one "lookup"/"put" span carrying its exact stats
 // delta, so the tracer/metrics reconciliation invariant holds.

@@ -4,13 +4,12 @@
 // series expose the batching economics — how many requests arrived,
 // how many waves actually hit the network, how many requests rode a
 // coalesced wave for free — plus the frontier-cache invalidation
-// traffic and the lim the online tuner is currently serving with:
+// traffic:
 //
 //   dhs_serving_requests_total{op=count|insert}
 //   dhs_serving_waves_total{op=count|insert}
 //   dhs_serving_coalesced_total
 //   dhs_serving_frontier_invalidations_total{reason=insert|fault|signal}
-//   dhs_serving_lim                                   (gauge)
 //
 // The obs layer sits below dhs in the include DAG, so geometry and
 // estimator arrive as plain label strings, never as dhs enums.
@@ -69,11 +68,6 @@ class ServingMetrics {
   void RecordSignalInvalidation() {
     if (Ready()) invalidations_signal_->Increment();
   }
-  /// The probe budget the tuner is currently serving with (0 = backend
-  /// default, tuner inactive).
-  void RecordLim(int lim) {
-    if (Ready()) lim_->Set(static_cast<double>(lim));
-  }
 
  private:
   bool Ready() {
@@ -108,7 +102,6 @@ class ServingMetrics {
     invalidations_signal_ =
         registry_->GetCounter("dhs_serving_frontier_invalidations_total",
                               with("reason", "signal"));
-    lim_ = registry_->GetGauge("dhs_serving_lim", base);
     interned_ = true;
   }
 
@@ -125,7 +118,6 @@ class ServingMetrics {
   Counter* invalidations_insert_ = nullptr;
   Counter* invalidations_fault_ = nullptr;
   Counter* invalidations_signal_ = nullptr;
-  Gauge* lim_ = nullptr;
 };
 
 }  // namespace dhs

@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -118,28 +117,60 @@ TEST_F(DhsClientTest, PlaceItemDeterministic) {
   EXPECT_EQ(a.rho, b.rho);
 }
 
+// Items 2^r | 2^63 (rho r, vector 0) are placed, stored in their bit's
+// interval and read back by an exhaustive count. The PCSA shape is the
+// widest a 64-bit ID space admits: m = 1 leaves no index bits, so k = 64
+// and rho ranges over the whole hash.
 TEST_F(DhsClientTest, InsertStoresTupleInCorrectInterval) {
-  auto client = DhsClient::Create(&net_, Config(DhsEstimator::kSuperLogLog));
-  ASSERT_TRUE(client.ok());
-  Rng rng(2);
-  const uint64_t item = 0x2;  // rho(lsb24 = 2) = 1
-  const DhsPlacement p = client->PlaceItem(item);
-  EXPECT_EQ(p.rho, 1);
-  ASSERT_TRUE(client->Insert(net_.RandomNode(rng), 77, item, rng).ok());
+  struct Shape {
+    DhsEstimator estimator;
+    int k;
+    int m;
+    int top_rho;  // items are inserted for rho 0..top_rho
+  };
+  for (const Shape& shape : {Shape{DhsEstimator::kSuperLogLog, 24, 64, 1},
+                             Shape{DhsEstimator::kPcsa, 64, 1, 40}}) {
+    SCOPED_TRACE("k=" + std::to_string(shape.k));
+    DhsConfig config = Config(shape.estimator);
+    config.k = shape.k;
+    config.m = shape.m;
+    // More probes than any interval has nodes (bit 0's holds about half
+    // of the 256): every walk covers its interval, so the count is exact.
+    config.lim = 200;
+    auto client = DhsClient::Create(&net_, config);
+    ASSERT_TRUE(client.ok());
+    Rng rng(2);
+    const uint64_t metric = 77 + static_cast<uint64_t>(shape.k);
+    for (int r = 0; r <= shape.top_rho; ++r) {
+      const uint64_t item = (uint64_t{1} << r) | (uint64_t{1} << 63);
+      const DhsPlacement p = client->PlaceItem(item);
+      EXPECT_EQ(p.vector_id, 0);
+      EXPECT_EQ(p.rho, r);
+      ASSERT_TRUE(client->Insert(net_.RandomNode(rng), metric, item, rng).ok());
 
-  // Exactly one node must now hold the tuple, keyed within bit 1's
-  // interval, findable under the (metric, bit) range scan.
-  int holders = 0;
-  for (uint64_t node : net_.NodeIds()) {
-    net_.StoreAt(node)->ForEachDhs(
-        77, 1, net_.now(), [&](const StoreKey& key, const StoreRecord& rec) {
-          EXPECT_EQ(key.vector_id(), p.vector_id);
-          EXPECT_TRUE(client->mapping().IntervalForBit(1)->Contains(
-              rec.dht_key));
-          ++holders;
-        });
+      // Exactly one node must now hold the tuple, keyed within bit r's
+      // interval, findable under the (metric, bit) range scan.
+      int holders = 0;
+      for (uint64_t node : net_.NodeIds()) {
+        net_.StoreAt(node)->ForEachDhs(
+            metric, r, net_.now(),
+            [&](const StoreKey& key, const StoreRecord& rec) {
+              EXPECT_EQ(key.vector_id(), p.vector_id);
+              EXPECT_TRUE(client->mapping().IntervalForBit(r)->Contains(
+                  rec.dht_key));
+              ++holders;
+            });
+      }
+      EXPECT_EQ(holders, 1) << "rho " << r;
+    }
+    auto counted = client->Count(net_.RandomNode(rng), metric, rng);
+    ASSERT_TRUE(counted.ok());
+    EXPECT_FALSE(counted->gave_up);
+    // sLL observes the highest set bit, PCSA the lowest unset one.
+    EXPECT_EQ(counted->observables[0],
+              shape.estimator == DhsEstimator::kPcsa ? shape.top_rho + 1
+                                                     : shape.top_rho);
   }
-  EXPECT_EQ(holders, 1);
 }
 
 TEST_F(DhsClientTest, InsertSkipsShiftedBits) {
@@ -400,56 +431,56 @@ TEST_F(DhsClientTest, ObservablesHaveOnePerBitmap) {
   }
 }
 
-TEST_F(DhsClientTest, AdaptiveLimRescuesSmallSets) {
-  // n = 2000 items with m = 64 over 256 nodes: far below the n >= m*N
-  // density, where the flat lim = 5 misses most tuples. The §4.1
-  // adaptive budget (eq. 6) must recover a usable estimate.
-  constexpr uint64_t kN = 2000;
-  DhsConfig flat = Config(DhsEstimator::kHyperLogLog);
-  DhsConfig adaptive = flat;
-  adaptive.adaptive_lim = true;
-  adaptive.expected_cardinality = kN;
+// A count's lim_override is its probe budget: it equals a count by a
+// client configured with that lim, field for field, in both scan
+// directions.
+TEST_F(DhsClientTest, LimOverrideEqualsConfiguredLim) {
+  auto populate = DhsClient::Create(&net_, Config(DhsEstimator::kPcsa));
+  ASSERT_TRUE(populate.ok());
+  Populate(*populate, 21, 20000, 61);
+  Rng pick(62);
+  const uint64_t origin = net_.RandomNode(pick);
+  for (DhsEstimator estimator :
+       {DhsEstimator::kSuperLogLog, DhsEstimator::kPcsa}) {
+    auto base = DhsClient::Create(&net_, Config(estimator));
+    ASSERT_TRUE(base.ok());
+    int nodes_at_lim_one = 0;
+    for (int lim : {1, 12}) {
+      SCOPED_TRACE(std::string(DhsEstimatorName(estimator)) +
+                   " lim=" + std::to_string(lim));
+      DhsConfig configured_config = Config(estimator);
+      configured_config.lim = lim;
+      auto configured = DhsClient::Create(&net_, configured_config);
+      ASSERT_TRUE(configured.ok());
 
-  auto flat_client = DhsClient::Create(&net_, flat);
-  auto adaptive_client = DhsClient::Create(&net_, adaptive);
-  ASSERT_TRUE(flat_client.ok());
-  ASSERT_TRUE(adaptive_client.ok());
-  Populate(*flat_client, 11, kN, 71);  // shared state
-
-  Rng rng(18);
-  StreamingStats flat_error;
-  StreamingStats adaptive_error;
-  for (int t = 0; t < 6; ++t) {
-    auto a = flat_client->Count(net_.RandomNode(rng), 11, rng);
-    auto b = adaptive_client->Count(net_.RandomNode(rng), 11, rng);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    flat_error.Add(RelativeError(a->estimate, static_cast<double>(kN)));
-    adaptive_error.Add(RelativeError(b->estimate, static_cast<double>(kN)));
+      DhsCountOptions options;
+      options.lim_override = lim;
+      Rng rng_a(63);
+      Rng rng_b(63);
+      auto a = base->CountMany(origin, {21}, rng_a, options);
+      auto b = configured->CountMany(origin, {21}, rng_b);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a->estimates, b->estimates);
+      EXPECT_EQ(a->observables, b->observables);
+      EXPECT_EQ(a->gave_up, b->gave_up);
+      EXPECT_EQ(a->bitmaps_unresolved, b->bitmaps_unresolved);
+      EXPECT_EQ(a->cost.nodes_visited, b->cost.nodes_visited);
+      EXPECT_EQ(a->cost.hops, b->cost.hops);
+      EXPECT_EQ(a->cost.bytes, b->cost.bytes);
+      EXPECT_EQ(a->cost.dht_lookups, b->cost.dht_lookups);
+      EXPECT_EQ(a->cost.direct_probes, b->cost.direct_probes);
+      EXPECT_EQ(a->cost.retries, b->cost.retries);
+      EXPECT_EQ(a->cost.failed_probes, b->cost.failed_probes);
+      EXPECT_EQ(rng_a.Next(), rng_b.Next());
+      if (lim == 1) {
+        nodes_at_lim_one = a->cost.nodes_visited;
+      } else {
+        EXPECT_NE(a->cost.nodes_visited, nodes_at_lim_one)
+            << "the override did not change the walk";
+      }
+    }
   }
-  EXPECT_LT(adaptive_error.mean(), flat_error.mean());
-  EXPECT_LT(adaptive_error.mean(), 0.35);
-}
-
-TEST_F(DhsClientTest, AdaptiveLimDoesNotInflateDenseCounts) {
-  // At comfortable density eq. 6 yields ~the flat budget: cost must not
-  // blow up.
-  constexpr uint64_t kN = 60000;
-  DhsConfig flat = Config(DhsEstimator::kSuperLogLog);
-  DhsConfig adaptive = flat;
-  adaptive.adaptive_lim = true;
-  adaptive.expected_cardinality = kN;
-  auto flat_client = DhsClient::Create(&net_, flat);
-  auto adaptive_client = DhsClient::Create(&net_, adaptive);
-  ASSERT_TRUE(flat_client.ok());
-  ASSERT_TRUE(adaptive_client.ok());
-  Populate(*flat_client, 12, kN, 72);
-  Rng rng(19);
-  auto a = flat_client->Count(net_.RandomNode(rng), 12, rng);
-  auto b = adaptive_client->Count(net_.RandomNode(rng), 12, rng);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_LT(b->cost.hops, 3 * a->cost.hops + 50);
 }
 
 TEST_F(DhsClientTest, SllSurvivesModerateFailures) {
@@ -518,23 +549,6 @@ TEST_F(DhsClientTest, CountDegradesInsteadOfFailingUnderTotalLoss) {
   EXPECT_TRUE(result->gave_up);
   EXPECT_GT(result->bitmaps_unresolved, 0);
   EXPECT_GT(result->cost.retries, 0);
-}
-
-TEST_F(DhsClientTest, RetryBackoffAdvancesClockExponentially) {
-  DhsConfig config = Config(DhsEstimator::kSuperLogLog);
-  config.retry_attempts = 3;
-  config.retry_backoff_ticks = 2;
-  auto client = DhsClient::Create(&net_, config);
-  ASSERT_TRUE(client.ok());
-  FaultConfig faults;
-  faults.drop_probability = 1.0;
-  ASSERT_TRUE(net_.SetFaultPlan(faults).ok());
-  Rng rng(34);
-  const uint64_t before = net_.now();
-  ASSERT_FALSE(client->Insert(net_.RandomNode(rng), 1, 7, rng).ok());
-  net_.ClearFaultPlan();
-  // Three attempts, backoff after the first two: 2 + 4 ticks.
-  EXPECT_EQ(net_.now() - before, 6u);
 }
 
 TEST_F(DhsClientTest, InsertBatchContinuesPastFailedBitGroups) {
@@ -633,31 +647,6 @@ TEST(ForEachBitGroupTest, MatchesOrderedMapReference) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Retry backoff ladder (free function RetryBackoffTicks).
-
-TEST(RetryBackoffTicksTest, DoublesPerAttempt) {
-  EXPECT_EQ(RetryBackoffTicks(100, 0), 100u);
-  EXPECT_EQ(RetryBackoffTicks(100, 1), 200u);
-  EXPECT_EQ(RetryBackoffTicks(100, 3), 800u);
-  EXPECT_EQ(RetryBackoffTicks(0, 7), 0u);
-}
-
-// Regression: `base << attempt` is undefined for attempt >= 64 and
-// silently wraps below that — a huge base and a modest attempt count
-// used to produce a tiny (or zero) backoff exactly when the system was
-// struggling hardest.
-TEST(RetryBackoffTicksTest, SaturatesInsteadOfOverflowing) {
-  const uint64_t max = std::numeric_limits<uint64_t>::max();
-  EXPECT_EQ(RetryBackoffTicks(uint64_t{1} << 62, 5), max);
-  EXPECT_EQ(RetryBackoffTicks(3, 63), max);
-  EXPECT_EQ(RetryBackoffTicks(1, 200), uint64_t{1} << 63)
-      << "the shift clamps at 63 (attempt 200 is not UB)";
-  EXPECT_EQ(RetryBackoffTicks(1, 63), uint64_t{1} << 63)
-      << "the deepest exact rung still computes";
-  EXPECT_EQ(RetryBackoffTicks(max, 1), max);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-
 namespace dhs {
 namespace {
 
@@ -107,50 +105,11 @@ TEST(DhsConfigTest, RejectsBadTheta) {
   EXPECT_TRUE(config.Validate(IdSpace(64)).ok());
 }
 
-TEST(DhsConfigTest, RejectsBadAdaptiveParameters) {
-  DhsConfig config;
-  config.adaptive_confidence = 1.0;
-  EXPECT_FALSE(config.Validate(IdSpace(64)).ok());
-  config.adaptive_confidence = 0.99;
-  config.max_lim = 3;  // below lim = 5
-  EXPECT_FALSE(config.Validate(IdSpace(64)).ok());
-  config.max_lim = 200;
-  config.adaptive_lim = true;
-  config.expected_cardinality = 100000;
-  EXPECT_TRUE(config.Validate(IdSpace(64)).ok());
-}
-
 TEST(DhsConfigTest, ProbeByteFormulas) {
   DhsConfig config;
   EXPECT_EQ(config.ProbeRequestBytes(), 12u);
   EXPECT_EQ(config.ProbeResponseBytes(0), 8u);
   EXPECT_EQ(config.ProbeResponseBytes(10), 28u);
-}
-
-// Regression: the retry ladder computes retry_backoff_ticks << attempt
-// (client.h RetryBackoffTicks); a config whose deepest shift cannot fit
-// in 64 bits used to pass validation and overflow at run time.
-TEST(DhsConfigTest, RejectsOverflowingBackoffLadder) {
-  DhsConfig config;
-  config.retry_backoff_ticks = 100;
-  config.retry_attempts = 4;  // deepest shift: 100 << 3
-  EXPECT_TRUE(config.Validate(IdSpace(64)).ok());
-
-  config.retry_backoff_ticks = uint64_t{1} << 60;
-  config.retry_attempts = 10;  // (1 << 60) << 9 overflows
-  EXPECT_FALSE(config.Validate(IdSpace(64)).ok());
-
-  config.retry_backoff_ticks = 1;
-  config.retry_attempts = 64;  // 1 << 63: the deepest representable rung
-  EXPECT_TRUE(config.Validate(IdSpace(64)).ok());
-  config.retry_attempts = 65;  // 1 << 64 does not exist
-  EXPECT_FALSE(config.Validate(IdSpace(64)).ok());
-
-  // With no backoff the attempt count alone is not a ladder: any depth
-  // is fine.
-  config.retry_backoff_ticks = 0;
-  config.retry_attempts = 200;
-  EXPECT_TRUE(config.Validate(IdSpace(64)).ok());
 }
 
 TEST(DhsConfigTest, EstimatorNames) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -195,80 +194,6 @@ TEST(RequiredProbesTest, ResultAlwaysWithinOneToNBins) {
 TEST(RequiredProbesTest, PinsTinyAndOversizedRequirements) {
   EXPECT_EQ(RequiredProbes(10, uint64_t{1} << 50, 0.99), 1);
   EXPECT_EQ(RequiredProbes(4, 1, 1e-300), 4);
-}
-
-// ---------------------------------------------------------------------------
-// FlatLimTarget: the worst-case eq. 6 requirement over the flat bits,
-// the value DhsServing's online tuner converges to.
-
-TEST(FlatLimTargetTest, DegenerateWorldsReturnFloor) {
-  // No items: every interval is expected-empty, nothing to insure.
-  EXPECT_EQ(FlatLimTarget(1024, 0, 0, 18, 8, 2, 0.01, 3, 100), 3);
-  // Fewer than two nodes: no interval can even hold two candidates.
-  EXPECT_EQ(FlatLimTarget(1, uint64_t{1} << 20, 0, 18, 8, 2, 0.01, 3, 100), 3);
-  EXPECT_EQ(FlatLimTarget(0, uint64_t{1} << 20, 0, 18, 8, 2, 0.01, 3, 100), 3);
-}
-
-TEST(FlatLimTargetTest, SubOneItemIntervalsAreSkippedNotInsured) {
-  // One item: every interval expects < 1 item (n' = 1 * 2^-(r+1)), so
-  // no bit contributes and the floor stands, regardless of how many
-  // nodes each interval holds.
-  EXPECT_EQ(FlatLimTarget(uint64_t{1} << 20, 1, 0, 18, 8, 2, 0.01, 1, 1000),
-            1);
-}
-
-TEST(FlatLimTargetTest, SubTwoNodeIntervalsFallBackToTheFloor) {
-  // Four nodes: only r=0 has >= 2 expected nodes (N' = 4 * 2^-1), so
-  // the target is exactly the eq. 6 requirement of that one interval.
-  const uint64_t cardinality = uint64_t{1} << 20;
-  const int expected =
-      RequiredProbesReplicated(2, cardinality >> 1, 8, 2, 0.01);
-  EXPECT_EQ(FlatLimTarget(4, cardinality, 0, 18, 8, 2, 0.01, 1, 1000),
-            expected);
-}
-
-TEST(FlatLimTargetTest, IsTheMaxOverQualifyingBits) {
-  // With the §3.5 bit shift (min_bit > 0) the node exponent rebases to
-  // min_bit while the item exponent does not: hand-evaluate each
-  // qualifying bit and take the max.
-  const uint64_t nodes = 1024;
-  const uint64_t cardinality = uint64_t{1} << 12;
-  int expected = 1;
-  for (int r = 6; r <= 8; ++r) {
-    const uint64_t n_bins = nodes >> (r - 6 + 1);
-    const uint64_t n_items = cardinality >> (r + 1);
-    if (n_bins < 2 || n_items < 1) continue;
-    expected = std::max(
-        expected, RequiredProbesReplicated(n_bins, n_items, 8, 2, 0.01));
-  }
-  EXPECT_EQ(FlatLimTarget(nodes, cardinality, 6, 8, 8, 2, 0.01, 1, 1000),
-            expected);
-}
-
-TEST(FlatLimTargetTest, TighterMissBoundNeverNeedsFewerProbes) {
-  const int loose = FlatLimTarget(4096, 100000, 0, 18, 8, 2, 0.1, 1, 100000);
-  const int tight = FlatLimTarget(4096, 100000, 0, 18, 8, 2, 0.001, 1, 100000);
-  EXPECT_GE(tight, loose);
-  EXPECT_GE(loose, 1);
-}
-
-TEST(FlatLimTargetTest, ClampsToFloorAndCeiling) {
-  // Dense world, loose bound: raw requirement is 1, floor lifts it.
-  EXPECT_EQ(FlatLimTarget(64, uint64_t{1} << 30, 0, 18, 8, 2, 0.5, 7, 100), 7);
-  // Sparse Internet-scale world, tight bound: requirement exceeds any
-  // practical budget, ceiling caps it.
-  EXPECT_EQ(FlatLimTarget(uint64_t{1} << 30, uint64_t{1} << 20, 0, 18, 8, 2,
-                          1e-6, 1, 48),
-            48);
-}
-
-TEST(FlatLimTargetTest, InternetScaleBinCountsSaturateInsteadOfWrapping) {
-  // N' at r=0 is 2^61 bins — far past INT_MAX. The per-bit requirement
-  // saturates (SaturateToInt / PinProbes) and the clamp turns it into
-  // the ceiling; a wrapped negative would surface as the floor.
-  const int target = FlatLimTarget(uint64_t{1} << 62, uint64_t{1} << 20, 0, 18,
-                                   8, 2, 0.01, 1, 200);
-  EXPECT_EQ(target, 200);
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
 // Serving-layer suite (dhs/serving.h): the headline guarantee is that
-// every answer the serving layer produces — coalesced, frontier-cached,
-// lim-tuned — is byte-identical to the unoptimized
-// path under fixed seeds. The tests pin that via wave-log replay
-// (serving world vs a twin plain world with identical seeds), plus the
-// frontier-cache invalidation contract, the lim tuner's convergence to
-// the eq. 5/6 prediction, and the serving metrics export.
+// every answer the serving layer produces — coalesced or
+// frontier-cached — is byte-identical to the unoptimized path under
+// fixed seeds. The tests pin that via wave-log replay (serving world vs
+// a twin plain world with identical seeds), plus the frontier-cache
+// invalidation contract and the serving metrics export.
 
 #include "dhs/serving.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,7 +25,6 @@
 #include "dht/shard.h"
 #include "dhs/client.h"
 #include "dhs/front_door.h"
-#include "dhs/lim.h"
 #include "dhs/maintainer.h"
 #include "hashing/hasher.h"
 #include "obs/metrics.h"
@@ -98,26 +95,7 @@ std::string WorldDigest(const DhtNetwork& net) {
 }
 
 // ---------------------------------------------------------------------------
-// Config validation.
-
-TEST(DhsServingConfigTest, ValidatesTunerParameters) {
-  DhsServingConfig config;
-  EXPECT_TRUE(config.Validate().ok());
-  config.tuner_gain = 0.0;
-  EXPECT_FALSE(config.Validate().ok());
-  config.tuner_gain = 1.5;
-  EXPECT_FALSE(config.Validate().ok());
-  config = DhsServingConfig{};
-  config.tuner_floor = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = DhsServingConfig{};
-  config.tuner_ceiling = 3;
-  config.tuner_floor = 5;
-  EXPECT_FALSE(config.Validate().ok());
-  config = DhsServingConfig{};
-  config.tuner_p_miss = 1.0;
-  EXPECT_FALSE(config.Validate().ok());
-}
+// Construction.
 
 TEST(DhsServingConfigTest, CreateRejectsNullBackends) {
   EXPECT_FALSE(
@@ -126,69 +104,6 @@ TEST(DhsServingConfigTest, CreateRejectsNullBackends) {
   EXPECT_FALSE(DhsServing::Create(static_cast<DhsFrontDoor*>(nullptr),
                                   DhsServingConfig{})
                    .ok());
-}
-
-// ---------------------------------------------------------------------------
-// LimTuner: damped convergence to the eq. 5/6 target.
-
-TEST(LimTunerTest, ConvergesFromAboveWithinOneBand) {
-  LimTuner tuner(100, 1, 200, 0.5);
-  for (int i = 0; i < 12; ++i) tuner.Observe(6, /*degraded=*/false);
-  EXPECT_TRUE(tuner.Converged());
-  EXPECT_LE(std::abs(tuner.lim() - 6), tuner.band());
-  EXPECT_EQ(tuner.band(), 2);  // max(1, (6+3)/4)
-}
-
-TEST(LimTunerTest, ConvergesFromBelowWithinOneBand) {
-  LimTuner tuner(1, 1, 200, 0.5);
-  for (int i = 0; i < 12; ++i) tuner.Observe(40, /*degraded=*/false);
-  EXPECT_TRUE(tuner.Converged());
-  EXPECT_LE(std::abs(tuner.lim() - 40), tuner.band());
-}
-
-TEST(LimTunerTest, NeverOvershootsTheGoal) {
-  // gain <= 1 implies each step is at most the remaining gap, so the
-  // trajectory is monotone until it lands exactly on the goal.
-  LimTuner tuner(100, 1, 200, 0.5);
-  int prev = tuner.lim();
-  for (int i = 0; i < 20; ++i) {
-    tuner.Observe(6, false);
-    EXPECT_LE(tuner.lim(), prev);
-    EXPECT_GE(tuner.lim(), 6);
-    prev = tuner.lim();
-  }
-  EXPECT_EQ(tuner.lim(), 6);
-}
-
-TEST(LimTunerTest, DegradedWavesAimOneBandAboveTarget) {
-  LimTuner tuner(6, 1, 200, 1.0);  // gain 1: jump straight to the goal
-  tuner.Observe(6, /*degraded=*/true);
-  EXPECT_EQ(tuner.lim(), 6 + tuner.band());
-  // A clean wave pulls it back to the target itself.
-  tuner.Observe(6, /*degraded=*/false);
-  EXPECT_EQ(tuner.lim(), 6);
-}
-
-TEST(LimTunerTest, StaysInsideClampRange) {
-  LimTuner tuner(10, 4, 20, 1.0);
-  tuner.Observe(1, false);  // target below floor
-  EXPECT_EQ(tuner.lim(), 4);
-  tuner.Observe(500, false);  // target above ceiling
-  EXPECT_EQ(tuner.lim(), 20);
-  tuner.Observe(20, true);  // degraded at the ceiling cannot escape it
-  EXPECT_EQ(tuner.lim(), 20);
-}
-
-TEST(LimTunerTest, TrajectoryIsDeterministic) {
-  std::vector<int> runs[2];
-  for (auto& run : runs) {
-    LimTuner tuner(100, 1, 200, 0.5);
-    for (int i = 0; i < 8; ++i) {
-      tuner.Observe(i % 3 == 0 ? 12 : 9, /*degraded=*/i % 4 == 1);
-      run.push_back(tuner.lim());
-    }
-  }
-  EXPECT_EQ(runs[0], runs[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,10 +190,8 @@ TEST_F(ServingClientTest, CoalescedCountsMatchPlainReplay) {
   std::vector<DhsClient::MultiCountResult> wave_results;
   for (const ServingWave& wave : serving->wave_log()) {
     ASSERT_EQ(wave.kind, ServingWave::kCountWave);
-    DhsCountOptions options;
-    options.lim_override = wave.lim_override;
     auto replayed = plain_world.client->CountMany(wave.origin, wave.metric_ids,
-                                                  replay_rng, options);
+                                                  replay_rng);
     ASSERT_TRUE(replayed.ok());
     wave_results.push_back(std::move(replayed.value()));
   }
@@ -457,7 +370,6 @@ class FrontierInvalidationTest : public ::testing::Test {
     config.k = 20;
     config.m = 16;
     config.lim = kNodes + 8;  // exhaustive probing: counts are exact
-    config.max_lim = 2 * kNodes;
     config.replication = 2;
     config.ttl_ticks = 1 << 20;
     config.frontier_cache = true;
@@ -610,38 +522,6 @@ TEST_F(FrontierInvalidationTest, DegradedWaveInvalidatesFrontier) {
   ASSERT_TRUE(exercised) << "no fault seed produced a degraded-but-ok count";
 }
 
-// invalidate_on_fault can be turned off: the cache entry survives a
-// degraded wave (it is still a sound upper bound — only external
-// inserts can invalidate it semantically).
-TEST_F(FrontierInvalidationTest, FaultInvalidationIsOptional) {
-  auto client = DhsClient::Create(&net_, Config());
-  ASSERT_TRUE(client.ok());
-  DhsServingConfig config;
-  config.invalidate_on_fault = false;
-  auto serving = DhsServing::Create(&client.value(), config);
-  ASSERT_TRUE(serving.ok());
-  Rng rng(91);
-  SeedAndPrime(*serving, rng);
-
-  bool exercised = false;
-  for (uint64_t seed = 1; seed <= 60 && !exercised; ++seed) {
-    FaultConfig faults;
-    faults.drop_probability = 0.35;
-    faults.timeout_probability = 0.2;
-    faults.seed = seed;
-    ASSERT_TRUE(net_.SetFaultPlan(faults).ok());
-    Rng faulted_rng(seed);
-    auto faulted =
-        serving->Count(net_.RandomNode(faulted_rng), kMetric, faulted_rng);
-    net_.ClearFaultPlan();
-    if (!faulted.ok()) continue;
-    if (!faulted->gave_up && faulted->cost.failed_probes == 0) continue;
-    exercised = true;
-    EXPECT_TRUE(client->HasFrontier(kMetric));
-  }
-  ASSERT_TRUE(exercised);
-}
-
 // The front door honours the same cache semantics: a repeat count
 // starts at the cached frontier, inserts through the door invalidate,
 // and the serving signal reaches the door's cache.
@@ -676,104 +556,11 @@ TEST_F(FrontierInvalidationTest, FrontDoorFrontierServedAndInvalidated) {
   EXPECT_EQ(fresh->observables[0], kHighBit);
 }
 
-// frontier_max_entries bounds the cache; the lowest metric id is
-// evicted (deterministic, so twin worlds evict identically).
-TEST_F(FrontierInvalidationTest, FrontierCacheEvictsLowestMetricId) {
-  DhsConfig config = Config();
-  config.frontier_max_entries = 2;
-  auto client = DhsClient::Create(&net_, config);
-  ASSERT_TRUE(client.ok());
-  Rng rng(17);
-  for (uint64_t metric : {5u, 9u, 3u}) {
-    std::vector<uint64_t> items;
-    for (int r = 0; r <= 4; ++r) items.push_back(CraftedItem(20, 0, r));
-    ASSERT_TRUE(
-        client->InsertBatch(net_.RandomNode(rng), metric, items, rng).ok());
-    auto counted = client->CountMany(net_.RandomNode(rng), {metric}, rng);
-    ASSERT_TRUE(counted.ok());
-    ASSERT_FALSE(counted->gave_up);
-  }
-  EXPECT_EQ(client->FrontierEntries(), 2u);
-  EXPECT_TRUE(client->HasFrontier(9));
-  EXPECT_TRUE(client->HasFrontier(3));
-  EXPECT_FALSE(client->HasFrontier(5)) << "lowest id at eviction time";
-}
-
-// ---------------------------------------------------------------------------
-// Online lim tuning: from a mis-sized configured lim, the serving
-// layer converges to within one retry band of the eq. 5/6 prediction,
-// deterministically.
-
-TEST(ServingLimTunerTest, ConvergesToFlatLimTargetFromBothSides) {
-  for (int initial_lim : {100, 1}) {
-    SCOPED_TRACE(initial_lim);
-    std::vector<int> trajectories[2];
-    for (auto& trajectory : trajectories) {
-      ChordNetwork net(FastOverlay());
-      Rng setup(20260705);
-      for (int i = 0; i < 192; ++i) CHECK_OK(net.AddNode(setup.Next()));
-      DhsConfig config;
-      config.k = 24;
-      config.m = 64;
-      config.replication = 2;
-      config.lim = initial_lim;
-      config.max_lim = 256;
-      auto client = DhsClient::Create(&net, config);
-      ASSERT_TRUE(client.ok());
-
-      // Populate, then serve repeated counts with the tuner on.
-      Rng rng(55);
-      MixHasher hasher(55);
-      std::vector<uint64_t> batch;
-      for (uint64_t i = 0; i < 20000; ++i) {
-        batch.push_back(hasher.HashU64(i));
-        if (batch.size() == 500) {
-          ASSERT_TRUE(
-              client->InsertBatch(net.RandomNode(rng), 6, batch, rng).ok());
-          batch.clear();
-        }
-      }
-
-      DhsServingConfig serving_config;
-      serving_config.tune_lim = true;
-      serving_config.tuner_gain = 0.5;
-      auto serving = DhsServing::Create(&client.value(), serving_config);
-      ASSERT_TRUE(serving.ok());
-
-      double last_estimate = 0.0;
-      for (int wave = 0; wave < 14; ++wave) {
-        auto result = serving->Count(net.RandomNode(rng), 6, rng);
-        ASSERT_TRUE(result.ok());
-        last_estimate = result->estimate;
-        trajectory.push_back(serving->tuner()->lim());
-      }
-
-      const LimTuner* tuner = serving->tuner();
-      ASSERT_NE(tuner, nullptr);
-      EXPECT_TRUE(tuner->Converged())
-          << "lim " << tuner->lim() << " target " << tuner->target();
-      EXPECT_LE(std::abs(tuner->lim() - tuner->target()), tuner->band());
-      // The tuner's target is exactly the eq. 5/6 prediction for the
-      // observed cardinality.
-      const int expected = FlatLimTarget(
-          192, static_cast<uint64_t>(std::llround(last_estimate)),
-          client->mapping().MinBit(), client->mapping().MaxBit(), config.m,
-          config.replication, 1.0 - config.adaptive_confidence,
-          serving_config.tuner_floor, config.max_lim);
-      EXPECT_EQ(tuner->target(), expected);
-      // The tuned budget actually reaches count waves.
-      EXPECT_EQ(serving->lim_override(), tuner->lim());
-    }
-    EXPECT_EQ(trajectories[0], trajectories[1])
-        << "tuner trajectory must be deterministic under fixed seeds";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Property test: randomized schedules over both geometries and all
-// three estimators, clean and faulted — every coalesced / cached /
-// tuned answer equals the same schedule replayed through a plain
-// DhsClient, wave for wave.
+// three estimators, clean and faulted — every coalesced / cached
+// answer equals the same schedule replayed through a plain DhsClient,
+// wave for wave.
 
 template <typename Network>
 void RunRandomScheduleEquivalence(DhsEstimator estimator, uint64_t seed) {
@@ -799,9 +586,8 @@ void RunRandomScheduleEquivalence(DhsEstimator estimator, uint64_t seed) {
   auto plain_client = DhsClient::Create(&plain_net, config);
   ASSERT_TRUE(plain_client.ok());
 
-  DhsServingConfig serving_config;
-  serving_config.tune_lim = true;  // the override rides the wave log
-  auto serving = DhsServing::Create(&serving_client.value(), serving_config);
+  auto serving =
+      DhsServing::Create(&serving_client.value(), DhsServingConfig{});
   ASSERT_TRUE(serving.ok());
 
   constexpr int kEpochs = 8;
@@ -904,10 +690,8 @@ void RunRandomScheduleEquivalence(DhsEstimator estimator, uint64_t seed) {
           break;
         }
         case ServingWave::kCountWave: {
-          DhsCountOptions options;
-          options.lim_override = wave.lim_override;
           auto replayed = plain_client->CountMany(wave.origin, wave.metric_ids,
-                                                  replay_rng, options);
+                                                  replay_rng);
           ASSERT_LT(group_i, group_order.size());
           const auto& tickets = by_set[*group_order[group_i]];
           EXPECT_EQ(tickets.size(), wave.waiters);
@@ -964,7 +748,7 @@ TEST(ServingScheduleEquivalenceTest, KademliaHyperLogLog) {
 // ---------------------------------------------------------------------------
 // Serving metrics export.
 
-TEST(ServingMetricsExportTest, CountsWavesCoalescingAndLim) {
+TEST(ServingMetricsExportTest, CountsWavesAndCoalescing) {
   ChordNetwork net(FastOverlay());
   MetricsRegistry registry;
   net.AttachMetrics(&registry);
@@ -977,9 +761,7 @@ TEST(ServingMetricsExportTest, CountsWavesCoalescingAndLim) {
   config.frontier_cache = true;
   auto client = DhsClient::Create(&net, config);
   ASSERT_TRUE(client.ok());
-  DhsServingConfig serving_config;
-  serving_config.tune_lim = true;
-  auto serving = DhsServing::Create(&client.value(), serving_config);
+  auto serving = DhsServing::Create(&client.value(), DhsServingConfig{});
   ASSERT_TRUE(serving.ok());
 
   Rng rng(12);
@@ -1014,8 +796,6 @@ TEST(ServingMetricsExportTest, CountsWavesCoalescingAndLim) {
                                 with("reason", "insert"))->value(), 1u);
   EXPECT_EQ(registry.GetCounter("dhs_serving_frontier_invalidations_total",
                                 with("reason", "signal"))->value(), 1u);
-  EXPECT_EQ(registry.GetGauge("dhs_serving_lim", base)->value(),
-            static_cast<double>(serving->tuner()->lim()));
 }
 
 }  // namespace

@@ -232,7 +232,6 @@ TEST_F(FaultToleranceTest, PrimaryWriteSurvivesReplicaCopyFailure) {
   // One tuple in a 256-node overlay: the count can only prove the
   // primary write durable if its walk is exhaustive.
   config.lim = 300;
-  config.max_lim = 300;
   auto client_or = DhsClient::Create(net_.get(), config);
   ASSERT_TRUE(client_or.ok());
   DhsClient client = std::move(client_or.value());
@@ -436,7 +435,6 @@ TEST(ReplicaPlacementRegression, KademliaReplicaSurvivesPrimaryFailure) {
     // Walks exhaust the interval's block; what they still cannot reach
     // is whatever was placed outside it.
     config.lim = 64;
-    config.max_lim = 64;
     auto client_or = DhsClient::Create(&net, config);
     ASSERT_TRUE(client_or.ok());
     DhsClient client = std::move(client_or.value());

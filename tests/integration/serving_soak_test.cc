@@ -1,8 +1,8 @@
 // Serving-layer soak over the loopback transport: a long randomized
 // stream of insert/count submissions flushed through DhsServing
-// (coalescing + frontier cache + online lim tuner) with every
-// data-plane frame crossing a real AF_UNIX socket pair, under periodic
-// fault segments and clock ticks. The pinned invariant is the wire
+// (coalescing + frontier cache) with every data-plane frame crossing a
+// real AF_UNIX socket pair, under periodic fault segments and clock
+// ticks. The pinned invariant is the wire
 // accounting identity: the sum of charged bytes observed at the frame
 // tap equals MessageStats.bytes at every checkpoint — drops, timeouts,
 // retries, coalesced waves and cache-served counts included.
@@ -67,9 +67,7 @@ uint64_t RunServingSoak(int steps, int check_every) {
     frames += 1;
   });
 
-  DhsServingConfig serving_config;
-  serving_config.tune_lim = true;
-  auto serving_or = DhsServing::Create(client.get(), serving_config);
+  auto serving_or = DhsServing::Create(client.get(), DhsServingConfig{});
   CHECK_OK(serving_or);
   auto serving = std::make_unique<DhsServing>(std::move(serving_or.value()));
 

@@ -68,14 +68,13 @@
 // (dhs/serving.h). Two identically seeded worlds run the same
 // randomized schedule of insert/count submissions, flushes, clock
 // ticks, churn and fault segments; one serves through DhsServing
-// (coalescing + frontier cache + online lim tuner), the other replays
-// the serving layer's wave log through a plain DhsClient with an
-// identically seeded RNG. Every waiter's estimates, observables,
-// gave_up, bitmaps_unresolved and full DhsCostReport must match the
-// replayed wave bit for bit, message/hop/byte stats must stay in
-// lockstep at every flush, and the final world digests must be
-// byte-identical. Incompatible with --crash (membership loss is
-// mirrored by schedule, not by fault replay).
+// (coalescing + frontier cache), the other replays the serving layer's
+// wave log through a plain DhsClient with an identically seeded RNG.
+// Every waiter's estimates, observables, gave_up, bitmaps_unresolved
+// and full DhsCostReport must match the replayed wave bit for bit,
+// message/hop/byte stats must stay in lockstep at every flush, and the
+// final world digests must be byte-identical. Incompatible with --crash
+// (membership loss is mirrored by schedule, not by fault replay).
 //
 // Usage: audit_sim [--geometry=chord|kademlia|both] [--steps=10000]
 //                  [--seed=1] [--estimator=sll|pcsa|hll]
@@ -395,7 +394,6 @@ class DifferentialSim {
     // must be exhaustive, making estimates deterministic functions of
     // store contents (comparable against the global scan below).
     config.lim = kMaxNodes + 8;
-    config.max_lim = config.lim;
     config.ttl_ticks = 400;
     // Two copies per tuple: the checker then continuously proves that
     // replicas live where counting walks look (global-scan agreement
@@ -1019,9 +1017,9 @@ std::string ServingWorldDigest(const DhtNetwork& net) {
 }
 
 /// Twin-world checker: a DhsServing front end (coalescing, frontier
-/// cache, online lim tuner) versus a plain DhsClient replaying the
-/// serving layer's wave log with identically seeded randomness. Any
-/// divergence aborts with a CHECK naming the step.
+/// cache) versus a plain DhsClient replaying the serving layer's wave
+/// log with identically seeded randomness. Any divergence aborts with a
+/// CHECK naming the step.
 class ServingDifferential {
  public:
   ServingDifferential(const SimOptions& options, Geometry geometry)
@@ -1075,12 +1073,12 @@ class ServingDifferential {
                   "audit_sim: serving/%s/%s: seed %" PRIu64 ": %d steps, "
                   "%" PRIu64 " count reqs -> %" PRIu64 " waves (%" PRIu64
                   " coalesced), %" PRIu64 " insert reqs, %" PRIu64
-                  " degraded, lim %d, 0 divergences\n",
+                  " degraded, 0 divergences\n",
                   serving_net_->GeometryName(),
                   DhsEstimatorName(options_.estimator), options_.seed,
                   options_.steps, stats.count_requests, stats.count_waves,
                   stats.coalesced, stats.insert_requests,
-                  stats.degraded_waves, serving_->lim_override());
+                  stats.degraded_waves);
     return line;
   }
 
@@ -1109,11 +1107,8 @@ class ServingDifferential {
     CHECK_OK(pc) << "plain client";
     plain_client_ = std::make_unique<DhsClient>(std::move(pc.value()));
 
-    DhsServingConfig serving_config;
-    // Tuner on: the replay must reproduce answers under a lim_override
-    // that drifts over the run (it rides each wave-log entry).
-    serving_config.tune_lim = true;
-    auto serving = DhsServing::Create(serving_client_.get(), serving_config);
+    auto serving =
+        DhsServing::Create(serving_client_.get(), DhsServingConfig{});
     CHECK_OK(serving) << "serving layer";
     serving_ = std::make_unique<DhsServing>(std::move(serving.value()));
 
@@ -1258,10 +1253,8 @@ class ServingDifferential {
           break;
         }
         case ServingWave::kCountWave: {
-          DhsCountOptions options;
-          options.lim_override = wave.lim_override;
-          auto replayed = plain_client_->CountMany(
-              wave.origin, wave.metric_ids, replay_rng_, options);
+          auto replayed = plain_client_->CountMany(wave.origin, wave.metric_ids,
+                                                   replay_rng_);
           CHECK_LT(group_i, group_order.size())
               << "step " << step_ << ": more count waves than groups";
           const std::vector<uint64_t>& tickets = by_set[*group_order[group_i]];
