@@ -35,7 +35,7 @@ void Run() {
   const int nodes = EnvInt("DHS_NODES", 1024);
   const int counts = EnvInt("DHS_COUNTS", 10);
   const int trials = TrialCount();
-  const int threads = TrialThreads();
+  const int threads = DefaultTrialThreads();
   PrintHeader("E4: estimation error vs number of bitmaps",
               "N=" + std::to_string(nodes) + ", k=24, lim=5, relation S, "
               "scale=" + FormatDouble(scale, 3) + ", trials=" +

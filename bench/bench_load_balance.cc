@@ -45,7 +45,7 @@ void Run() {
   const double scale = WorkloadScale();
   const int nodes = EnvInt("DHS_NODES", 1024);
   const int trials = TrialCount();
-  const int threads = TrialThreads();
+  const int threads = DefaultTrialThreads();
   PrintHeader("A4: per-node load balance, DHS vs one-node-per-counter",
               "N=" + std::to_string(nodes) + ", k=24, m=512, relation Q, "
               "scale=" + FormatDouble(scale, 3) + ", trials=" +

@@ -27,7 +27,7 @@ void Run() {
   const double scale = WorkloadScale();
   const int counts = EnvInt("DHS_COUNTS", 12);
   const int trials = TrialCount();
-  const int threads = TrialThreads();
+  const int threads = DefaultTrialThreads();
   PrintHeader("E3: scalability — counting hops vs overlay size",
               "k=24, m=512, relation S, scale=" + FormatDouble(scale, 3) +
               ", trials=" + std::to_string(trials));

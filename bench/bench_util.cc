@@ -11,7 +11,7 @@ namespace bench {
 
 double EnvDouble(const char* name, double fallback) {
   // Env overrides are read during single-threaded bench setup, before
-  // any RunTrials worker exists, and nothing in the repo calls setenv.
+  // any RunTrials worker exists, and no bench calls setenv.
   const char* value = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
   if (value == nullptr || value[0] == '\0') return fallback;
   return std::atof(value);
@@ -27,8 +27,6 @@ int EnvInt(const char* name, int fallback) {
 double WorkloadScale() { return EnvDouble("DHS_SCALE", 0.1); }
 
 int TrialCount(int fallback) { return EnvInt("DHS_TRIALS", fallback); }
-
-int TrialThreads() { return EnvInt("DHS_THREADS", DefaultTrialThreads()); }
 
 void PrintRunnerFooter(int trials, int threads, double wall_seconds) {
   std::printf("runner: trials/point=%d threads=%d wall=%.2fs\n", trials,

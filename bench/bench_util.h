@@ -42,10 +42,6 @@ double WorkloadScale();
 /// printed rows are identical at every thread count.
 int TrialCount(int fallback = 1);
 
-/// Worker threads for the trial runner (DHS_THREADS, default: hardware
-/// concurrency).
-int TrialThreads();
-
 /// Prints the standard "trials=T threads=J wall=S" footer of a
 /// parallel sweep.
 void PrintRunnerFooter(int trials, int threads, double wall_seconds);

@@ -1,11 +1,11 @@
-// Fixed-size worker pool and the deterministic multi-trial runner.
+// The deterministic multi-trial runner.
 //
 // The experiment harness (bench/, tools/audit_sim) averages many
 // independent seeded simulator trials. Each trial owns its entire world
-// — network, clients, RNG — so trials parallelize embarrassingly; the
-// only shared state is the pool's own queue, which is annotated and
-// checked by Clang Thread Safety Analysis (common/sync.h). This is the
-// repo's one parallel regime: a single world always runs on one thread.
+// — network, clients, RNG — so trials parallelize embarrassingly: the
+// workers share one atomic cursor over the trial indices and nothing
+// else. This is the repo's one parallel regime: a single world always
+// runs on one thread.
 //
 // Determinism contract of RunTrials: the result vector is a function of
 // (n_trials, seed_base, fn) only. Trial i always runs with
@@ -17,10 +17,9 @@
 #ifndef DHS_COMMON_THREAD_POOL_H_
 #define DHS_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -32,44 +31,6 @@
 #include "common/sync.h"
 
 namespace dhs {
-
-/// A fixed pool of worker threads draining a FIFO task queue.
-/// Thread-safe: Submit/Wait may be called from any thread.
-class ThreadPool {
- public:
-  /// Spawns `num_threads` workers (clamped to >= 1).
-  explicit ThreadPool(int num_threads);
-
-  /// Drains every queued task, then joins the workers.
-  ~ThreadPool() EXCLUDES(mu_);
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Tasks must not throw (run trial bodies through
-  /// RunTrials, which captures exceptions per-trial).
-  void Submit(std::function<void()> task) EXCLUDES(mu_);
-
-  /// Blocks until the queue is empty and every worker is idle.
-  void Wait() EXCLUDES(mu_);
-
-  int num_threads() const { return static_cast<int>(threads_.size()); }
-
- private:
-  void WorkerLoop() EXCLUDES(mu_);
-
-  Mutex mu_{"thread_pool"};
-  CondVar work_cv_;  // signaled on new work / shutdown
-  CondVar idle_cv_;  // signaled when the pool may have drained
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
-  int active_ GUARDED_BY(mu_) = 0;
-  bool shutdown_ GUARDED_BY(mu_) = false;
-  // Written only by the constructor (before any worker exists) and
-  // joined by the destructor (after shutdown drains); concurrent reads
-  // see a vector that never changes size.
-  // dhs-analyze: allow(lock-unguarded-member)
-  std::vector<std::thread> threads_;
-};
 
 /// Worker count for trial runners: DHS_THREADS when set (>= 1), else
 /// std::thread::hardware_concurrency().
@@ -117,11 +78,19 @@ auto RunTrials(int n_trials, uint64_t seed_base, int num_threads, Fn&& fn)
   if (num_threads <= 1 || n_trials <= 1) {
     for (int t = 0; t < n_trials; ++t) run_one(t);
   } else {
-    ThreadPool pool(num_threads < n_trials ? num_threads : n_trials);
-    for (int t = 0; t < n_trials; ++t) {
-      pool.Submit([&run_one, t] { run_one(t); });
-    }
-    pool.Wait();
+    // Each fetch_add hands one trial index to exactly one worker, and
+    // slot t is written only by the worker that drew t. The jthreads
+    // join at the end of this scope, on exception paths too, which
+    // orders every slot write before the gather below.
+    std::atomic<int> next{0};
+    auto worker = [&] {
+      for (int t = next.fetch_add(1); t < n_trials; t = next.fetch_add(1)) {
+        run_one(t);
+      }
+    };
+    std::vector<std::jthread> workers;
+    const int n_workers = num_threads < n_trials ? num_threads : n_trials;
+    for (int w = 0; w < n_workers; ++w) workers.emplace_back(worker);
   }
 
   std::vector<Result> results;

@@ -99,7 +99,6 @@ class FixtureFindingsTest(unittest.TestCase):
         for family_rule in ("layer-dep", "layer-transitive",
                             "det-unordered-iter", "det-wallclock",
                             "det-rng", "det-float-accum",
-                            "lock-unguarded-member", "lock-blocking-call",
                             "statusor-unchecked", "serial-raw-bytes"):
             self.assertIn(family_rule, rules,
                           f"fixture tree lost its {family_rule} positive")

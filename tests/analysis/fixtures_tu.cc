@@ -7,8 +7,6 @@
 #include "common/layering_helper.h"
 #include "common/layering_neg.h"
 #include "common/layering_pos.h"
-#include "common/lock_members_neg.h"
-#include "common/lock_members_pos.h"
 #include "dht/dep.h"
 #include "dht/trans_pos.h"
 #include "obs/bad_reach.h"

@@ -1,12 +1,6 @@
-// Runtime behavior of the annotated primitives in common/sync.h, plus
-// concurrency stress for the pieces the TSan CI leg watches: GUARDED_BY
-// state under contention, CondVar hand-offs, the thread pool, and
-// concurrent CHECK failures against the atomic handler slot.
-//
-// (The *static* side — Clang -Wthread-safety accepting these patterns —
-// is exercised simply by compiling this file under the Clang CI leg.)
-
-#include "common/sync.h"
+// Concurrency stress for the pieces the TSan CI leg watches: many tiny
+// trials racing for RunTrials' atomic cursor, and concurrent CHECK
+// failures against the atomic handler slot.
 
 #include <gtest/gtest.h>
 
@@ -17,119 +11,28 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 
 namespace dhs {
 namespace {
 
-TEST(SyncTest, MutexLockUnlockAndTryLock) {
-  Mutex mu;
-  mu.Lock();
-  // Already held: TryLock from another thread must fail, not block.
-  bool acquired = true;
-  // det-lint: allow(raw-threading) — the sync primitives under test need raw threads beneath them
-  std::thread probe([&mu, &acquired] {
-    acquired = mu.TryLock();
-    if (acquired) mu.Unlock();
-  });
-  probe.join();
-  EXPECT_FALSE(acquired);
-  mu.Unlock();
-
-  EXPECT_TRUE(mu.TryLock());
-  mu.Unlock();
-}
-
-TEST(SyncTest, GuardedCounterStress) {
-  // 8 threads x 10k increments on a GUARDED_BY counter. Under TSan this
-  // is the canonical "is the lock actually taken" probe; in any build
-  // the final count catches lost updates.
-  struct State {
-    Mutex mu;
-    long counter GUARDED_BY(mu) = 0;
-  } state;
-
-  constexpr int kThreads = 8;
-  constexpr int kIncrements = 10000;
-  // det-lint: allow(raw-threading) — the sync primitives under test need raw threads beneath them
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&state] {
-      for (int j = 0; j < kIncrements; ++j) {
-        MutexLock lock(state.mu);
-        ++state.counter;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  MutexLock lock(state.mu);
-  EXPECT_EQ(state.counter, static_cast<long>(kThreads) * kIncrements);
-}
-
-TEST(SyncTest, CondVarHandsOffStateChanges) {
-  // Producer/consumer ping-pong through a guarded slot: each side waits
-  // for its turn, flips the slot, signals. 1000 round trips.
-  struct State {
-    Mutex mu;
-    CondVar cv;
-    int turn GUARDED_BY(mu) = 0;  // 0 = producer's move, 1 = consumer's
-    long handoffs GUARDED_BY(mu) = 0;
-  } state;
-  constexpr long kRounds = 1000;
-
-  // det-lint: allow(raw-threading) — the sync primitives under test need raw threads beneath them
-  std::thread producer([&state] {
-    for (long i = 0; i < kRounds; ++i) {
-      MutexLock lock(state.mu);
-      state.cv.Wait(state.mu, [&state]() NO_THREAD_SAFETY_ANALYSIS {
-        // The analysis cannot see that the predicate runs under mu
-        // (Wait holds it); the REQUIRES on Wait guards the call site.
-        return state.turn == 0;
-      });
-      state.turn = 1;
-      state.cv.SignalAll();
-    }
-  });
-  // det-lint: allow(raw-threading) — the sync primitives under test need raw threads beneath them
-  std::thread consumer([&state] {
-    for (long i = 0; i < kRounds; ++i) {
-      MutexLock lock(state.mu);
-      state.cv.Wait(state.mu, [&state]() NO_THREAD_SAFETY_ANALYSIS {
-        return state.turn == 1;
-      });
-      state.turn = 0;
-      ++state.handoffs;
-      state.cv.SignalAll();
-    }
-  });
-  producer.join();
-  consumer.join();
-  MutexLock lock(state.mu);
-  EXPECT_EQ(state.handoffs, kRounds);
-}
-
 TEST(SyncTest, ThreadPoolStressManyTinyTasks) {
-  // Saturates the pool with tasks that themselves contend on a guarded
-  // accumulator — exercises queue push/pop, Wait(), and worker reuse
-  // under TSan in one go.
-  struct State {
-    Mutex mu;
-    long sum GUARDED_BY(mu) = 0;
-  } state;
-  constexpr int kTasks = 5000;
-
-  ThreadPool pool(8);
-  for (int i = 1; i <= kTasks; ++i) {
-    pool.Submit([&state, i] {
-      MutexLock lock(state.mu);
-      state.sum += i;
-    });
+  // Floods eight workers with trials that each add their index to one
+  // shared accumulator: the cursor hand-off, the slot writes and the
+  // join are all exercised under TSan in one go.
+  constexpr int kTrials = 5000;
+  std::atomic<long> sum{0};
+  const auto results =
+      RunTrials(kTrials, /*seed_base=*/3, /*num_threads=*/8,
+                [&sum](int trial, Rng&) {
+                  sum.fetch_add(trial + 1, std::memory_order_relaxed);
+                  return trial;
+                });
+  EXPECT_EQ(sum.load(), static_cast<long>(kTrials) * (kTrials + 1) / 2);
+  ASSERT_EQ(results.size(), static_cast<size_t>(kTrials));
+  for (int t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(results[static_cast<size_t>(t)], t);
   }
-  pool.Wait();
-  MutexLock lock(state.mu);
-  EXPECT_EQ(state.sum, static_cast<long>(kTasks) * (kTasks + 1) / 2);
 }
 
 /// Thrown by the per-thread CHECK handler below.
@@ -145,15 +48,13 @@ void ThrowingSyncHandler(const char* /*file*/, int /*line*/,
 TEST(SyncTest, ConcurrentCheckFailuresEachFireTheHandler) {
   // Many threads trip CHECKs at once; the atomic handler slot must hand
   // every one of them the installed (throwing) handler, and the throw
-  // must unwind inside the failing thread. Raw std::threads with a
-  // try/catch per thread — throwing handlers must never be used inside
-  // ThreadPool tasks (an escaping exception would std::terminate).
+  // must unwind inside the failing thread, caught by its own try/catch.
   CheckFailureHandler previous = SetCheckFailureHandler(&ThrowingSyncHandler);
 
   constexpr int kThreads = 8;
   constexpr int kFailuresPerThread = 200;
   std::atomic<int> caught{0};
-  // det-lint: allow(raw-threading) — the sync primitives under test need raw threads beneath them
+  // det-lint: allow(raw-threading) — exercises the CHECK handler under real thread contention
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
@@ -174,15 +75,6 @@ TEST(SyncTest, ConcurrentCheckFailuresEachFireTheHandler) {
   SetCheckFailureHandler(previous);
   EXPECT_EQ(caught.load(), kThreads * kFailuresPerThread);
 }
-
-// SampleStats is marked thread-hostile (lazy sort behind const
-// accessors); StreamingStats is thread-compatible. The trait is what
-// RunTrials uses to reject leaky result types at compile time.
-static_assert(kThreadHostile<SampleStats>);
-static_assert(kThreadHostile<SampleStats*>);
-static_assert(kThreadHostile<const SampleStats&>);
-static_assert(!kThreadHostile<StreamingStats>);
-static_assert(!kThreadHostile<double>);
 
 }  // namespace
 }  // namespace dhs

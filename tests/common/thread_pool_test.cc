@@ -1,8 +1,10 @@
-// ThreadPool / RunTrials tests. The load-bearing property is the
-// determinism contract: RunTrials output is a pure function of
-// (n_trials, seed_base, fn), independent of the worker count and of
-// completion order — the parallel experiment harness (bench/,
-// tools/audit_sim) relies on it to keep reported numbers reproducible.
+// Tests of common/thread_pool.h: RunTrials, TrialSeed and
+// DefaultTrialThreads. The load-bearing property is the determinism
+// contract: RunTrials output is a pure function of (n_trials,
+// seed_base, fn), independent of the worker count and of completion
+// order — the parallel experiment harness (bench/, tools/audit_sim)
+// relies on it to keep reported numbers reproducible. TSan runs this
+// suite in CI: the runner is the only program code that starts threads.
 
 #include "common/thread_pool.h"
 
@@ -10,8 +12,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,43 +28,21 @@ namespace dhs {
 namespace {
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  // Every trial index is drawn from the cursor exactly once: none is
+  // skipped and none runs twice (a repeat would not show in the results,
+  // which are a function of the index alone).
+  constexpr int kTrials = 1000;
+  std::vector<std::atomic<int>> runs(kTrials);
+  const auto results = RunTrials(kTrials, /*seed_base=*/4, /*num_threads=*/4,
+                                 [&runs](int trial, Rng&) {
+                                   runs[static_cast<size_t>(trial)].fetch_add(
+                                       1, std::memory_order_relaxed);
+                                   return trial;
+                                 });
+  ASSERT_EQ(results.size(), static_cast<size_t>(kTrials));
+  for (int t = 0; t < kTrials; ++t) {
+    EXPECT_EQ(runs[static_cast<size_t>(t)].load(), 1) << "trial " << t;
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 1; round <= 3; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), 50 * round);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // No Wait(): the destructor must finish the queue before joining.
-  }
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPoolTest, WaitWithEmptyQueueReturnsImmediately) {
-  ThreadPool pool(3);
-  pool.Wait();
-  SUCCEED();
 }
 
 TEST(TrialSeedTest, DistinctAcrossTrialsAndBases) {
@@ -88,10 +71,19 @@ TEST(RunTrialsTest, ResultsOrderedByTrialIndexNotCompletionOrder) {
 }
 
 TEST(RunTrialsTest, SerialAndParallelSeedsMatch) {
+  // No trials, fewer trials than threads, a few per thread, and many
+  // tiny trials competing for the cursor.
   auto record_seed = [](int, Rng& rng) { return rng.Next(); };
-  const auto serial = RunTrials(16, 99, 1, record_seed);
-  const auto parallel = RunTrials(16, 99, 8, record_seed);
-  EXPECT_EQ(serial, parallel);
+  for (int n : {0, 1, 3, 16, 10000}) {
+    const auto serial = RunTrials(n, 99, 1, record_seed);
+    const auto parallel = RunTrials(n, 99, 8, record_seed);
+    ASSERT_EQ(serial.size(), static_cast<size_t>(n));
+    EXPECT_EQ(serial, parallel) << n << " trials";
+    for (int t = 0; t < n; ++t) {
+      ASSERT_EQ(serial[static_cast<size_t>(t)], Rng(TrialSeed(99, t)).Next())
+          << "trial " << t << " of " << n;
+    }
+  }
 }
 
 TEST(RunTrialsTest, RethrowsLowestIndexedTrialFailure) {
@@ -110,6 +102,27 @@ TEST(RunTrialsTest, RethrowsLowestIndexedTrialFailure) {
   };
   EXPECT_EQ(run(1), "trial 2");
   EXPECT_EQ(run(4), "trial 2");
+}
+
+TEST(DefaultTrialThreadsTest, PositiveValueElseHardwareConcurrency) {
+  // No worker runs while this test sets the variable.
+  const char* saved = std::getenv("DHS_THREADS");
+  const std::optional<std::string> restore =
+      saved != nullptr ? std::optional<std::string>(saved) : std::nullopt;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = hw > 0 ? static_cast<int>(hw) : 1;
+
+  setenv("DHS_THREADS", "3", /*overwrite=*/1);
+  EXPECT_EQ(DefaultTrialThreads(), 3);
+  for (const char* ignored : {"0", "-2", "abc"}) {
+    setenv("DHS_THREADS", ignored, /*overwrite=*/1);
+    EXPECT_EQ(DefaultTrialThreads(), fallback) << "DHS_THREADS=" << ignored;
+  }
+  unsetenv("DHS_THREADS");
+  EXPECT_EQ(DefaultTrialThreads(), fallback);
+  EXPECT_GE(fallback, 1);
+
+  if (restore) setenv("DHS_THREADS", restore->c_str(), /*overwrite=*/1);
 }
 
 /// A realistic trial: builds its own small overlay, inserts a seeded

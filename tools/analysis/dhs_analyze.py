@@ -4,10 +4,10 @@
 The repo's headline guarantee is byte-identical determinism of
 fixed-seed worlds, across transports and thread counts.
 tools/lint/concurrency_lint.py polices the textual half of that
-discipline (raw std:: threading, unnamed mutexes); this suite enforces
-the parts a line-regex cannot see — typedefs, class structure, function
-flow, the include DAG — by parsing every file into a structural model
-and running five checker families over the whole-project view:
+discipline (raw std:: threading); this suite enforces the parts a
+line-regex cannot see — typedefs, class structure, function flow, the
+include DAG — by parsing every file into a structural model and running
+four checker families over the whole-project view:
 
   layering             The include DAG is codified:
                          common -> hashing -> sketch -> dht -> dhs
@@ -40,19 +40,6 @@ and running five checker families over the whole-project view:
                        slot indexed by the loop variable is exact
                        per-key and allowed.
 
-  lock discipline      lock-unguarded-member   a class that owns a
-                       dhs::Mutex must annotate every sibling data
-                       member GUARDED_BY/PT_GUARDED_BY (const members,
-                       atomics, Mutex/CondVar members and statics are
-                       exempt).
-                       lock-blocking-call      calling a blocking
-                       operation (CondVar::Wait on a *different*
-                       mutex, ThreadPool::Submit/Wait, or any project
-                       function that transitively does) while a Mutex
-                       is held (MutexLock scope or Lock()/Unlock()
-                       span): the held lock turns a wait into a
-                       potential deadlock and serializes the pool.
-
   StatusOr flow        statusor-unchecked      .value(), operator* or
                        operator-> on a StatusOr-typed local/parameter
                        with no dominating x.ok() / CHECK_OK(x) /
@@ -75,10 +62,10 @@ Type resolution uses the best frontend available:
 
   * clang: when the clang-18 Python bindings (python3-clang-18 /
     libclang) are importable, every TU in compile_commands.json is
-    parsed with libclang and the alias map, class members (with
-    guarded_by attributes), and function return types are taken from
-    the real AST — canonical types, macros expanded. CI installs the
-    bindings; see .github/workflows/ci.yml (analyze job).
+    parsed with libclang and the alias map, class member types, and
+    function return types are taken from the real AST — canonical
+    types, macros expanded. CI installs the bindings; see
+    .github/workflows/ci.yml (analyze job).
   * tokens: a built-in C++ lexer + structural parser (comments,
     strings, raw strings, preprocessor handled exactly; classes,
     members, function bodies, using/typedef aliases recovered
@@ -132,8 +119,6 @@ RULES = {
     "det-rng": "nondeterministic randomness source",
     "det-float-accum": "order-sensitive float accumulation over unordered "
                        "container",
-    "lock-unguarded-member": "sibling of a Mutex member lacks GUARDED_BY",
-    "lock-blocking-call": "blocking call while holding a Mutex",
     "statusor-unchecked": "StatusOr access not dominated by an ok() check",
     "serial-raw-bytes": "raw multi-byte codec op outside bit_util helpers",
     "stale-baseline": "baseline entry matches no current finding",
@@ -353,9 +338,6 @@ class Member:
     name: str
     type_text: str
     line: int
-    guarded: bool = False          # GUARDED_BY / PT_GUARDED_BY present
-    is_static: bool = False
-    is_const_value: bool = False   # top-level const (exempt from guards)
 
 
 @dataclass
@@ -391,7 +373,6 @@ NOT_MEMBER_LEAD = {"using", "typedef", "friend", "static_assert", "public",
                    "struct", "union", "operator", "explicit", "virtual",
                    "return", "if", "for", "while", "switch", "case",
                    "namespace"}
-ANNOT_NAMES = {"GUARDED_BY", "PT_GUARDED_BY"}
 FUNC_TAIL_KEYWORDS = {"const", "noexcept", "override", "final", "try",
                       "volatile", "&", "&&", ")"}
 
@@ -608,17 +589,15 @@ class TokenFrontend:
             return
         if any(t.text == "operator" for t in stmt):
             return
-        quals = set()
         k = 0
         while k < len(stmt) and stmt[k].text in MEMBER_QUALIFIERS:
-            quals.add(stmt[k].text)
             k += 1
         body = stmt[k:]
         if not body:
             return
-        # A top-level '(' before any '=' / annotation means a function
-        # declaration (or macro call) — not a data member. Template
-        # angles are tracked so std::function<void()> stays a member.
+        # A top-level '(' before any '=' means a function declaration
+        # (or macro call) — not a data member. Template angles are
+        # tracked so std::function<void()> stays a member.
         angle = 0
         name_idx = None
         for j, t in enumerate(body):
@@ -629,16 +608,7 @@ class TokenFrontend:
             elif t.text == ">>":
                 angle = max(0, angle - 2)
             elif angle == 0:
-                if t.text == "(" and (
-                        j == 0 or body[j - 1].kind != "id"
-                        or body[j - 1].text in ANNOT_NAMES):
-                    return
-                if (t.kind == "id" and t.text in ANNOT_NAMES):
-                    name_idx = j - 1
-                    break
-                if t.text == "(" and body[j - 1].kind == "id":
-                    # id( ... : function decl unless this is the
-                    # annotation itself (handled above).
+                if t.text == "(":
                     return
                 if t.text in ("=", "{", ";", "["):
                     name_idx = j - 1
@@ -656,19 +626,9 @@ class TokenFrontend:
         type_toks = body[:name_idx]
         if not type_toks:
             return
-        guarded = any(t.text in ANNOT_NAMES for t in body[name_idx:])
-        type_text = token_text(type_toks)
-        # Top-level const: const with no pointer, or const after the
-        # last '*' (constant pointer / constant value either way).
-        texts = [t.text for t in type_toks]
-        is_const = ("const" in texts and "*" not in texts) or (
-            "*" in texts and
-            "const" in texts[len(texts) - 1 - texts[::-1].index("*"):])
         cls.members.append(Member(
-            name=name_tok.text, type_text=type_text, line=name_tok.line,
-            guarded=guarded, is_static="static" in quals or
-            "constexpr" in quals,
-            is_const_value=is_const or "constexpr" in quals))
+            name=name_tok.text, type_text=token_text(type_toks),
+            line=name_tok.line))
 
 
 def skip_past(toks, i, stop):
@@ -720,9 +680,9 @@ def match_paren(toks, i):
 class ClangRefiner:
     """Refines the token-frontend model with real AST type information
     from the clang-18 Python bindings: canonical alias targets, field
-    types and guarded_by attributes, and function return types. Import
-    or parse failures degrade per-TU to the token model (a warning is
-    printed once); checkers are frontend-agnostic."""
+    types, and function return types. Import or parse failures degrade
+    per-TU to the token model (a warning is printed once); checkers are
+    frontend-agnostic."""
 
     def __init__(self, compdb_path):
         import clang.cindex as cindex  # raises ImportError when absent
@@ -791,8 +751,6 @@ class Project:
         self.classes = {}           # name -> ClassModel (last wins)
         self.field_types = {}       # (class, member) -> type text
         self.statusor_returners = set()
-        self.condvar_members = set()    # member names typed CondVar
-        self.pool_typed = {}            # name -> "ThreadPool"
         self.functions = []             # (rel, FunctionModel)
 
     def load(self, frontend):
@@ -821,11 +779,6 @@ class Project:
                 for mem in cls.members:
                     self.field_types.setdefault(
                         (cls.name, mem.name), mem.type_text)
-                    resolved = self.resolve_type(mem.type_text)
-                    if re.search(r"\bCondVar\b", resolved):
-                        self.condvar_members.add(mem.name)
-                    if re.search(r"\bThreadPool\b", resolved):
-                        self.pool_typed[mem.name] = "ThreadPool"
             for fn in fm.functions:
                 self.functions.append((rel, fn))
                 if "StatusOr" in self.resolve_type(fn.return_type):
@@ -1305,193 +1258,14 @@ def _check_wallclock_rng(project, rep, rel, fn):
 
 
 # ---------------------------------------------------------------------------
-# Checker: lock discipline
-# ---------------------------------------------------------------------------
-
-def check_lock_members(project, rep):
-    for rel, fm in project.files.items():
-        if not rel.endswith(".h"):
-            continue
-        for cls in fm.classes:
-            mutexes = [m for m in cls.members
-                       if re.search(r"\bMutex\b", m.type_text)]
-            if not mutexes:
-                continue
-            mu_names = ", ".join(m.name for m in mutexes)
-            for m in cls.members:
-                if m in mutexes or m.guarded or m.is_static \
-                        or m.is_const_value:
-                    continue
-                resolved = project.resolve_type(m.type_text)
-                if re.search(r"\b(CondVar|atomic|Mutex)\b", resolved):
-                    continue
-                rep.report(
-                    rel, m.line, "lock-unguarded-member",
-                    f"{cls.name}::{m.name} has no GUARDED_BY but sibling "
-                    f"mutex {mu_names} exists — annotate, make it "
-                    f"const/atomic, or waive with the synchronization "
-                    f"story")
-
-
-BLOCKING_POOL_METHODS = {
-    "ThreadPool": {"Submit", "Wait"},
-}
-
-
-def _function_key(fn):
-    return f"{fn.qualifier}::{fn.name}" if fn.qualifier else fn.name
-
-
-def build_blocking_closure(project):
-    """Names of project functions that (transitively) block. Seeds:
-    bodies containing CondVar .Wait or pool blocking methods on
-    pool-typed receivers."""
-    calls = {}      # function key -> set of called bare names
-    blocking = set()
-    for rel, fn in project.functions:
-        key = _function_key(fn)
-        locals_ = local_decls(project, fn)
-        members = enclosing_class_members(project, fn)
-
-        def rtype(name):
-            t = locals_.get(name) or fn.params.get(name) or \
-                members.get(name) or ""
-            return "" if t.startswith("auto:") else project.resolve_type(t)
-
-        called = calls.setdefault(key, set())
-        toks = fn.tokens
-        n = len(toks)
-        for i, t in enumerate(toks):
-            if t.kind != "id" or i + 1 >= n or toks[i + 1].text != "(":
-                continue
-            prev = toks[i - 1].text if i > 0 else ""
-            if prev in (".", "->"):
-                recv = toks[i - 2].text if i >= 2 else ""
-                recv_type = rtype(recv)
-                if t.text == "Wait" and (recv in project.condvar_members
-                                         or "CondVar" in recv_type):
-                    blocking.add(key)
-                for pool, methods in BLOCKING_POOL_METHODS.items():
-                    if t.text in methods and (
-                            pool in recv_type
-                            or project.pool_typed.get(recv) == pool):
-                        blocking.add(key)
-            else:
-                called.add(t.text)
-    # Propagate through the call graph by bare name.
-    blocking_names = {k.split("::")[-1] for k in blocking}
-    changed = True
-    while changed:
-        changed = False
-        for key, called in calls.items():
-            if key in blocking:
-                continue
-            if called & blocking_names:
-                blocking.add(key)
-                blocking_names.add(key.split("::")[-1])
-                changed = True
-    return blocking_names
-
-
-def check_lock_blocking(project, rep, blocking_names):
-    for rel, fn in project.functions:
-        locals_ = local_decls(project, fn)
-        members = enclosing_class_members(project, fn)
-
-        def rtype(name):
-            t = locals_.get(name) or fn.params.get(name) or \
-                members.get(name) or ""
-            return "" if t.startswith("auto:") else project.resolve_type(t)
-
-        toks = fn.tokens
-        n = len(toks)
-        # Lock regions: list of (mutex_name, start_idx, end_idx).
-        regions = []
-        for i, t in enumerate(toks):
-            if (t.kind == "id" and t.text == "MutexLock"
-                    and i + 2 < n and toks[i + 1].kind == "id"
-                    and toks[i + 2].text in ("(", "{")):
-                close = (match_paren(toks, i + 2)
-                         if toks[i + 2].text == "(" else
-                         match_brace(toks, i + 2))
-                args = [x.text for x in toks[i + 3:close] if x.kind == "id"]
-                mu = args[0] if args else "?"
-                end = _enclosing_block_end(toks, i)
-                regions.append((mu, close, end))
-            elif (t.kind == "id" and t.text == "Lock" and i >= 2
-                  and toks[i - 1].text in (".", "->")
-                  and i + 1 < n and toks[i + 1].text == "("):
-                mu = toks[i - 2].text
-                if "Mutex" not in rtype(mu):
-                    continue
-                end = len(toks) - 1
-                for j in range(i + 1, n - 2):
-                    if (toks[j].text == mu and toks[j + 1].text in
-                            (".", "->") and toks[j + 2].text == "Unlock"):
-                        end = j
-                        break
-                regions.append((mu, i + 1, end))
-        if not regions:
-            continue
-        for i, t in enumerate(toks):
-            if t.kind != "id" or i + 1 >= n or toks[i + 1].text != "(":
-                continue
-            held = [mu for (mu, s, e) in regions if s < i < e]
-            if not held:
-                continue
-            prev = toks[i - 1].text if i > 0 else ""
-            if prev in (".", "->"):
-                recv = toks[i - 2].text if i >= 2 else ""
-                recv_type = rtype(recv)
-                if t.text == "Wait" and (recv in project.condvar_members
-                                         or "CondVar" in recv_type):
-                    close = match_paren(toks, i + 1)
-                    wait_args = [x.text for x in toks[i + 2:close]
-                                 if x.kind == "id"]
-                    wait_mu = wait_args[0] if wait_args else ""
-                    offenders = [mu for mu in held if mu != wait_mu]
-                    if offenders:
-                        rep.report(
-                            rel, t.line, "lock-blocking-call",
-                            f"CondVar::Wait({wait_mu}) blocks while "
-                            f"holding {', '.join(offenders)} — only the "
-                            f"waited mutex is released during the wait")
-                for pool, methods in BLOCKING_POOL_METHODS.items():
-                    if t.text in methods and (
-                            pool in recv_type
-                            or project.pool_typed.get(recv) == pool):
-                        rep.report(
-                            rel, t.line, "lock-blocking-call",
-                            f"{pool}::{t.text}() called while holding "
-                            f"{', '.join(held)} — pool operations block "
-                            f"and must not run under a lock")
-            else:
-                if (t.text in blocking_names
-                        and t.text not in ("Lock", "Unlock", "TryLock")):
-                    rep.report(
-                        rel, t.line, "lock-blocking-call",
-                        f"call to '{t.text}' (transitively blocking) "
-                        f"while holding {', '.join(held)}")
-
-
-def _enclosing_block_end(toks, i):
-    """End index of the innermost '{' block containing token i."""
-    depth = 0
-    for j in range(i, -1, -1):
-        if toks[j].text == "}":
-            depth += 1
-        elif toks[j].text == "{":
-            if depth == 0:
-                return match_brace(toks, j)
-            depth -= 1
-    return len(toks) - 1
-
-
-# ---------------------------------------------------------------------------
 # Checker: StatusOr flow
 # ---------------------------------------------------------------------------
 
 OK_ESTABLISHERS = ("CHECK_OK", "ASSERT_OK", "EXPECT_OK", "QCHECK_OK")
+
+
+def _function_key(fn):
+    return f"{fn.qualifier}::{fn.name}" if fn.qualifier else fn.name
 
 
 def check_statusor(project, rep):
@@ -1688,9 +1462,6 @@ def run(argv=None):
     rep = Reporter(project)
     check_layering(project, rep)
     check_determinism(project, rep)
-    check_lock_members(project, rep)
-    blocking = build_blocking_closure(project)
-    check_lock_blocking(project, rep, blocking)
     check_statusor(project, rep)
     check_serialization(project, rep)
 

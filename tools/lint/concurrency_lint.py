@@ -10,21 +10,16 @@ statically, in CI and as a ctest:
 
   raw-threading     std::mutex / std::thread / std::condition_variable
                     (and friends) are forbidden outside src/common/:
-                    everything else must use the annotated, diagnosed
-                    primitives in common/sync.h and the pool in
-                    common/thread_pool.h. std::thread::
+                    parallel work goes through RunTrials
+                    (common/thread_pool.h), which runs whole worlds on
+                    separate threads. std::thread::
                     hardware_concurrency() is a pure query and allowed.
 
-  unnamed-mutex     Mutex members must carry a registered name
-                    (`Mutex mu_{"subsystem"};`): lock-misuse reports
-                    name the mutex by it.
-
-These two are token/syntax rules that need no type information, so a
-line scanner is the right tool. The rules this script used to own that
-DO need type information — wall-clock reads, nondeterministic RNG,
-unguarded mutex siblings — moved to the AST-accurate checker suite in
-tools/analysis/dhs_analyze.py (det-wallclock, det-rng,
-lock-unguarded-member), which sees through typedefs and member types
+This is a token/syntax rule that needs no type information, so a line
+scanner is the right tool. The rules this script used to own that DO
+need type information — wall-clock reads, nondeterministic RNG — moved
+to the AST-accurate checker suite in tools/analysis/dhs_analyze.py
+(det-wallclock, det-rng), which sees through typedefs and member types
 instead of pattern-matching spellings. CI's lint job runs both
 scripts; no rule is maintained twice.
 
@@ -53,9 +48,6 @@ RAW_THREADING_RE = re.compile(
 )
 HARDWARE_CONCURRENCY_RE = re.compile(
     r"std::thread::hardware_concurrency"
-)
-MUTEX_MEMBER_RE = re.compile(
-    r"^\s*(?:mutable\s+)?Mutex\s+(\w+_)\s*(\{[^}]*\})?\s*;"
 )
 
 
@@ -106,7 +98,6 @@ def lint_file(path, rel):
             return
         findings.append((num, rule, message))
 
-    mutex_members = []  # (line number, member name, has registered name)
     in_block = False
     for num, line in enumerate(lines, start=1):
         code, in_block = strip_comments(line, in_block)
@@ -119,23 +110,9 @@ def lint_file(path, rel):
                 report(
                     num, "raw-threading",
                     "raw std:: threading primitive outside src/common/ — "
-                    "use common/sync.h / common/thread_pool.h",
+                    "run independent worlds through RunTrials "
+                    "(common/thread_pool.h)",
                 )
-
-        if path.endswith(".h"):
-            member = MUTEX_MEMBER_RE.match(code)
-            if member:
-                named = bool(member.group(2)) and '"' in member.group(2)
-                mutex_members.append((num, member.group(1), named))
-
-    for num, name, named in mutex_members:
-        if not named:
-            report(
-                num, "unnamed-mutex",
-                "Mutex member %s has no registered name — lock-misuse "
-                "reports name the mutex by it "
-                "(Mutex %s{\"subsystem\"};)" % (name, name),
-            )
     return findings
 
 
