@@ -12,154 +12,26 @@
 // are the cheap witness that an optimisation did not change routing or
 // store behaviour (the full determinism check is diffing
 // bench_counting/bench_insertion output, see EXPERIMENTS.md
-// "Performance methodology").
+// "Performance methodology"). The op loops live in dht_core_ops.h, and
+// dht_core_checksum_test runs them at the default sizes against the
+// checksums recorded in BENCH_dht_core.json.
 //
 // Knobs: DHS_CORE_MAX_NODES (default 102400) caps the overlay sweep,
 // DHS_CORE_LOOKUPS / DHS_CORE_RANGES / DHS_CORE_TICKS /
 // DHS_CORE_RECORDS / DHS_CORE_STORE_OPS size the per-op iteration
 // counts.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "dhs/mapping.h"
-#include "dht/store.h"
+#include "dht_core_ops.h"
 
 namespace dhs {
 namespace bench {
 namespace {
-
-struct CoreResult {
-  std::string op;
-  int nodes = 0;
-  long iters = 0;
-  double ns_per_op = 0.0;
-  uint64_t checksum = 0;
-};
-
-using Clock = std::chrono::steady_clock;
-
-double ElapsedNs(Clock::time_point t0) {
-  return std::chrono::duration<double, std::nano>(Clock::now() - t0)
-      .count();
-}
-
-CoreResult BenchLookup(DhtNetwork& net, int nodes, long iters) {
-  Rng rng(2024);
-  // Draw origins from a NodeIds() snapshot: same values as RandomNode
-  // (the ring is sorted) without charging its cost to the setup phase.
-  const std::vector<uint64_t> ids = net.NodeIds();
-  std::vector<uint64_t> froms(static_cast<size_t>(iters));
-  std::vector<uint64_t> keys(static_cast<size_t>(iters));
-  for (long i = 0; i < iters; ++i) {
-    froms[static_cast<size_t>(i)] = ids[rng.UniformU64(ids.size())];
-    keys[static_cast<size_t>(i)] = rng.Next();
-  }
-  // Untimed warmup with an independent rng stream: measures steady-state
-  // routing (caches hot in either implementation) without perturbing the
-  // draws behind the measured checksum. Routes depend only on membership,
-  // so the checksum is warmup-invariant.
-  Rng warm_rng(771);
-  const long warmup = std::max<long>(iters * 2, 1000);
-  for (long i = 0; i < warmup; ++i) {
-    // Warm-up traffic; only the cache-priming side effect matters.
-    (void)net.Lookup(ids[warm_rng.UniformU64(ids.size())],
-                     warm_rng.Next(), 16);
-  }
-  uint64_t checksum = 0;
-  const auto t0 = Clock::now();
-  for (long i = 0; i < iters; ++i) {
-    auto result = net.Lookup(froms[static_cast<size_t>(i)],
-                             keys[static_cast<size_t>(i)], 16);
-    if (result.ok()) {
-      checksum += static_cast<uint64_t>(result->hops);
-      checksum ^= result->node;
-    }
-  }
-  const double ns = ElapsedNs(t0);
-  return {"lookup", nodes, iters, ns / static_cast<double>(iters),
-          checksum};
-}
-
-CoreResult BenchRangeCount(const DhtNetwork& net, int nodes, long iters) {
-  Rng rng(77);
-  std::vector<uint64_t> los(static_cast<size_t>(iters));
-  std::vector<uint64_t> his(static_cast<size_t>(iters));
-  for (long i = 0; i < iters; ++i) {
-    los[static_cast<size_t>(i)] = rng.Next();
-    his[static_cast<size_t>(i)] = rng.Next();
-  }
-  uint64_t checksum = 0;
-  const auto t0 = Clock::now();
-  for (long i = 0; i < iters; ++i) {
-    checksum += net.CountNodesInRange(los[static_cast<size_t>(i)],
-                                      his[static_cast<size_t>(i)]);
-  }
-  const double ns = ElapsedNs(t0);
-  return {"range_count", nodes, iters, ns / static_cast<double>(iters),
-          checksum};
-}
-
-CoreResult BenchAdvanceClock(DhtNetwork& net, int nodes, long records,
-                             long ticks) {
-  // Spread `records` soft-state tuples over random nodes, all expiring
-  // far beyond the measured window: this times the bookkeeping cost of
-  // a maintenance tick, not record deletion itself.
-  Rng rng(4242);
-  const std::vector<uint64_t> ids = net.NodeIds();
-  for (long i = 0; i < records; ++i) {
-    NodeStore* store = net.StoreAt(ids[rng.UniformU64(ids.size())]);
-    const int bit = static_cast<int>(i % 16);
-    const int vector_id = static_cast<int>((i / 16) % 1024);
-    const uint64_t metric = 1 + static_cast<uint64_t>(i / (16 * 1024));
-    store->Put(rng.Next(), MakeDhsKey(metric, bit, vector_id),
-               std::string(),
-               net.now() + 1000000000ull + static_cast<uint64_t>(i));
-  }
-  const auto t0 = Clock::now();
-  for (long t = 0; t < ticks; ++t) net.AdvanceClock(1);
-  const double ns = ElapsedNs(t0);
-  const uint64_t checksum = net.now() + net.TotalStorageBytes();
-  return {"advance_clock", nodes, ticks, ns / static_cast<double>(ticks),
-          checksum};
-}
-
-void BenchStorePutGet(int nodes, long ops, std::vector<CoreResult>* out) {
-  NodeStore store;
-  Rng rng(99);
-  std::vector<uint64_t> dht_keys(static_cast<size_t>(ops));
-  for (long i = 0; i < ops; ++i) {
-    dht_keys[static_cast<size_t>(i)] = rng.Next();
-  }
-  auto key_of = [](long i) {
-    const int bit = static_cast<int>(i % 16);
-    const int vector_id = static_cast<int>((i / 16) % 1024);
-    const uint64_t metric = 1 + static_cast<uint64_t>(i / (16 * 1024));
-    return MakeDhsKey(metric, bit, vector_id);
-  };
-  const auto t0 = Clock::now();
-  for (long i = 0; i < ops; ++i) {
-    store.Put(dht_keys[static_cast<size_t>(i)], key_of(i), std::string(),
-              kNoExpiry);
-  }
-  const double put_ns = ElapsedNs(t0);
-  out->push_back({"store_put", nodes, ops,
-                  put_ns / static_cast<double>(ops), store.NumRecords()});
-
-  uint64_t checksum = 0;
-  const auto t1 = Clock::now();
-  for (long i = 0; i < ops; ++i) {
-    const StoreRecord* rec = store.Get(key_of(i), 0);
-    if (rec != nullptr) checksum ^= rec->dht_key;
-  }
-  const double get_ns = ElapsedNs(t1);
-  out->push_back({"store_get", nodes, ops,
-                  get_ns / static_cast<double>(ops), checksum});
-}
 
 bool WriteJson(const std::string& path,
                const std::vector<CoreResult>& results) {
@@ -185,11 +57,12 @@ bool WriteJson(const std::string& path,
 
 void Run() {
   const int max_nodes = EnvInt("DHS_CORE_MAX_NODES", 102400);
-  const long lookups = EnvInt("DHS_CORE_LOOKUPS", 2000);
-  const long ranges = EnvInt("DHS_CORE_RANGES", 5000);
-  const long ticks = EnvInt("DHS_CORE_TICKS", 200);
-  const long records = EnvInt("DHS_CORE_RECORDS", 100000);
-  const long store_ops = EnvInt("DHS_CORE_STORE_OPS", 200000);
+  CoreSizes sizes;
+  sizes.lookups = EnvInt("DHS_CORE_LOOKUPS", sizes.lookups);
+  sizes.ranges = EnvInt("DHS_CORE_RANGES", sizes.ranges);
+  sizes.ticks = EnvInt("DHS_CORE_TICKS", sizes.ticks);
+  sizes.records = EnvInt("DHS_CORE_RECORDS", sizes.records);
+  sizes.store_ops = EnvInt("DHS_CORE_STORE_OPS", sizes.store_ops);
   // Read before any worker thread exists; nothing calls setenv.
   const char* json_env = std::getenv("DHS_CORE_JSON");  // NOLINT(concurrency-mt-unsafe)
   const std::string json_path =
@@ -198,21 +71,16 @@ void Run() {
 
   PrintHeader("P1: simulator-core hot paths",
               "max_nodes=" + std::to_string(max_nodes) +
-                  ", records=" + std::to_string(records));
+                  ", records=" + std::to_string(sizes.records));
   PrintRow({"op", "nodes", "iters", "ns/op", "checksum"});
 
   std::vector<CoreResult> results;
   for (int nodes : {1024, 10240, 102400}) {
     if (nodes > max_nodes) break;
-    auto net = MakeNetwork(nodes, 1);
-    results.push_back(BenchLookup(*net, nodes, lookups));
-    results.push_back(BenchRangeCount(*net, nodes, ranges));
-    results.push_back(BenchAdvanceClock(*net, nodes, records, ticks));
-    BenchStorePutGet(nodes, store_ops, &results);
-    for (size_t i = results.size() - 5; i < results.size(); ++i) {
-      const CoreResult& r = results[i];
+    for (const CoreResult& r : RunCoreOps(nodes, sizes)) {
       PrintRow({r.op, std::to_string(r.nodes), std::to_string(r.iters),
                 FormatDouble(r.ns_per_op, 1), std::to_string(r.checksum)});
+      results.push_back(r);
     }
   }
   if (WriteJson(json_path, results)) {

@@ -87,7 +87,8 @@ Workload ReadWorkload() {
   w.items_per_tenant = EnvInt("DHS_SERVING_ITEMS", 1500);
   w.reqs = EnvInt("DHS_SERVING_REQS", 1536);
   w.batch = EnvInt("DHS_SERVING_BATCH", 32);
-  w.theta = EnvInt("DHS_SERVING_THETA", 100) / 100.0;
+  // θ is given in hundredths; 0 means uniform, so 0 is allowed.
+  w.theta = EnvInt("DHS_SERVING_THETA", 100, /*min=*/0) / 100.0;
   return w;
 }
 

@@ -1,27 +1,62 @@
 #include "dht/chord.h"
 #include "bench_util.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "hashing/hasher.h"
 
 namespace dhs {
 namespace bench {
 
-double EnvDouble(const char* name, double fallback) {
-  // Env overrides are read during single-threaded bench setup, before
-  // any RunTrials worker exists, and no bench calls setenv.
+namespace {
+
+// Env overrides are read during single-threaded bench setup, before any
+// RunTrials worker exists, and no bench calls setenv.
+const char* EnvValue(const char* name) {
   const char* value = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
-  if (value == nullptr || value[0] == '\0') return fallback;
-  return std::atof(value);
+  return value == nullptr || value[0] == '\0' ? nullptr : value;
 }
 
-int EnvInt(const char* name, int fallback) {
-  // See EnvDouble on why the unguarded getenv is safe here.
-  const char* value = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
-  if (value == nullptr || value[0] == '\0') return fallback;
-  return std::atoi(value);
+[[noreturn]] void RejectKnob(const char* name, const char* value,
+                             const std::string& want) {
+  std::fprintf(stderr, "bench: %s=%s is not %s\n", name, value,
+               want.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
+double EnvDouble(const char* name, double fallback) {
+  const char* value = EnvValue(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0' || errno != 0 || !std::isfinite(parsed) ||
+      parsed <= 0.0) {
+    RejectKnob(name, value, "a finite number > 0");
+  }
+  return parsed;
+}
+
+int EnvInt(const char* name, int fallback, int min) {
+  const char* value = EnvValue(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno != 0 || parsed < min ||
+      parsed > std::numeric_limits<int>::max()) {
+    RejectKnob(name, value,
+               "a whole number in [" + std::to_string(min) + ", " +
+                   std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  return static_cast<int>(parsed);
 }
 
 double WorkloadScale() { return EnvDouble("DHS_SCALE", 0.1); }

@@ -29,9 +29,13 @@
 namespace dhs {
 namespace bench {
 
-/// Environment override helpers (DHS_SCALE, DHS_NODES, ...).
+/// Environment override helpers (DHS_SCALE, DHS_NODES, ...): an unset
+/// or empty variable yields `fallback`. EnvInt accepts only a whole
+/// number in [min, INT_MAX]; EnvDouble (whose knob, DHS_SCALE, is a
+/// scale factor) only a finite number > 0. Any other value prints
+/// "bench: NAME=value is not ..." to stderr and exits with status 2.
 double EnvDouble(const char* name, double fallback);
-int EnvInt(const char* name, int fallback);
+int EnvInt(const char* name, int fallback, int min = 1);
 
 /// The global workload scale factor (DHS_SCALE, default 0.1).
 double WorkloadScale();

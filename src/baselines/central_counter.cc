@@ -1,43 +1,6 @@
 #include "baselines/central_counter.h"
 
-#include <string>
-
 namespace dhs {
-
-namespace {
-
-std::string TallyKey(uint64_t metric_id) {
-  std::string key = "C";
-  for (int i = 7; i >= 0; --i) {
-    key.push_back(static_cast<char>((metric_id >> (8 * i)) & 0xff));
-  }
-  return key;
-}
-
-std::string ItemKey(uint64_t metric_id, uint64_t item_hash) {
-  std::string key = TallyKey(metric_id);
-  key[0] = 'S';
-  for (int i = 7; i >= 0; --i) {
-    key.push_back(static_cast<char>((item_hash >> (8 * i)) & 0xff));
-  }
-  return key;
-}
-
-uint64_t DecodeCount(const std::string& value) {
-  uint64_t count = 0;
-  for (char c : value) count = (count << 8) | static_cast<uint8_t>(c);
-  return count;
-}
-
-std::string EncodeCount(uint64_t count) {
-  std::string value(8, '\0');
-  for (int i = 0; i < 8; ++i) {
-    value[static_cast<size_t>(7 - i)] = static_cast<char>(count >> (8 * i));
-  }
-  return value;
-}
-
-}  // namespace
 
 CentralCounter::CentralCounter(DhtNetwork* network, uint64_t metric_id,
                                Mode mode)
@@ -45,6 +8,14 @@ CentralCounter::CentralCounter(DhtNetwork* network, uint64_t metric_id,
 
 StatusOr<uint64_t> CentralCounter::CounterNode() const {
   return network_->ResponsibleNode(metric_id_);
+}
+
+void CentralCounter::Rehost(uint64_t node) {
+  if (!network_->Contains(host_)) {
+    tally_ = 0;
+    items_.clear();
+  }
+  host_ = node;
 }
 
 Status CentralCounter::Add(uint64_t origin_node, uint64_t item_hash) {
@@ -56,20 +27,13 @@ Status CentralCounter::Add(uint64_t origin_node, uint64_t item_hash) {
   const size_t payload = 8;
   auto lookup = network_->Lookup(origin_node, metric_id_, payload);
   if (!lookup.ok()) return lookup.status();
-  NodeStore* store = network_->StoreAt(lookup->node);
-  NodeLoad* load = network_->LoadAt(lookup->node);
-  load->stores += 1;
+  Rehost(lookup->node);
+  network_->LoadAt(lookup->node)->stores += 1;
   if (mode_ == Mode::kExactSet) {
-    store->Put(metric_id_, ItemKey(metric_id_, item_hash), std::string(),
-               kNoExpiry);
-    return Status::OK();
+    items_.insert(item_hash);
+  } else {
+    ++tally_;
   }
-  const std::string key = TallyKey(metric_id_);
-  uint64_t count = 0;
-  if (const StoreRecord* rec = store->Get(key, network_->now())) {
-    count = DecodeCount(rec->value);
-  }
-  store->Put(metric_id_, key, EncodeCount(count + 1), kNoExpiry);
   return Status::OK();
 }
 
@@ -81,23 +45,10 @@ StatusOr<double> CentralCounter::Read(uint64_t origin_node) {
   }
   auto lookup = network_->Lookup(origin_node, metric_id_, 8);
   if (!lookup.ok()) return lookup.status();
-  NodeStore* store = network_->StoreAt(lookup->node);
+  Rehost(lookup->node);
   network_->ChargeBytes(8);  // response
-  if (mode_ == Mode::kExactSet) {
-    // Count the stored item records under this metric's prefix.
-    std::string prefix = "S";
-    for (int i = 7; i >= 0; --i) {
-      prefix.push_back(static_cast<char>((metric_id_ >> (8 * i)) & 0xff));
-    }
-    uint64_t count = 0;
-    store->ForEachWithPrefix(prefix, network_->now(),
-                             [&count](const std::string&, const StoreRecord&) {
-                               ++count;
-                             });
-    return static_cast<double>(count);
-  }
-  const StoreRecord* rec = store->Get(TallyKey(metric_id_), network_->now());
-  return rec == nullptr ? 0.0 : static_cast<double>(DecodeCount(rec->value));
+  return static_cast<double>(mode_ == Mode::kExactSet ? items_.size()
+                                                      : tally_);
 }
 
 }  // namespace dhs

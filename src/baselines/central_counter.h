@@ -7,6 +7,7 @@
 #define DHS_BASELINES_CENTRAL_COUNTER_H_
 
 #include <cstdint>
+#include <set>
 
 #include "common/status.h"
 #include "dht/network.h"
@@ -33,9 +34,18 @@ class CentralCounter {
   [[nodiscard]] StatusOr<double> Read(uint64_t origin_node);
 
  private:
+  /// Points the counter state at `node`, the responsible node a lookup
+  /// just reached. The state lives at its host: it is dropped once the
+  /// host is no longer live (the count dies with its node), and follows
+  /// responsibility to `node` otherwise (join hand-over).
+  void Rehost(uint64_t node);
+
   DhtNetwork* network_;
   uint64_t metric_id_;
   Mode mode_;
+  uint64_t host_ = 0;
+  uint64_t tally_ = 0;        // kTally
+  std::set<uint64_t> items_;  // kExactSet
 };
 
 }  // namespace dhs

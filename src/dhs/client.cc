@@ -644,7 +644,7 @@ Status DhsClient::AuditFull() const {
     const NodeStore* store = network_->StoreAt(node_id);
     CHECK(store != nullptr) << "live node " << node_id << " has no store";
     store->ForEach(now, [&](const StoreKey& key, const StoreRecord& rec) {
-      if (!violation.ok() || !key.is_dhs()) return;
+      if (!violation.ok()) return;
       const auto fail = [&](const std::string& what) {
         violation = Status::Internal(
             "dhs audit: node " + std::to_string(node_id) + " record (metric " +

@@ -91,18 +91,18 @@ Status DhtNetwork::RemoveNode(uint64_t node_id) {
   if (it == nodes_.end()) return Status::NotFound("unknown node");
   // Graceful leave: re-home each live record at its new responsible node
   // (for Chord that is always the successor; for Kademlia records may
-  // scatter over several neighbours). Map nodes are spliced, not copied.
-  NodeStore::RecordMap pending = it->second.TakeRecords(now_);
+  // scatter over several neighbours). Incoming records replace resident
+  // ones on key collision, as every migration does.
+  const NodeStore leaving = std::move(it->second);
   nodes_.erase(it);
   RingErase(space_.Clamp(node_id));
   OnMembershipChange();
-  while (!pending.empty()) {
-    auto nh = pending.extract(pending.begin());
-    auto responsible = ResponsibleNode(nh.mapped().dht_key);
+  leaving.ForEach(now_, [this](const StoreKey& key, const StoreRecord& rec) {
+    auto responsible = ResponsibleNode(rec.dht_key);
     if (responsible.ok()) {
-      nodes_.at(responsible.value()).Adopt(std::move(nh));
+      nodes_.at(responsible.value()).Put(rec.dht_key, key, rec.expires_at);
     }
-  }
+  });
   return Status::OK();
 }
 
@@ -324,30 +324,26 @@ Status DhtNetwork::DirectHop(uint64_t from_node, uint64_t to_node,
 }
 
 StatusOr<uint64_t> DhtNetwork::Put(uint64_t from_node, uint64_t dht_key,
-                                   StoreKey app_key, std::string value,
-                                   uint64_t ttl_ticks) {
+                                   const StoreKey& key, uint64_t ttl_ticks) {
   ScopedSpan span(tracer_, "put");
-  const size_t payload = app_key.SizeBytes() + value.size();
-  auto lookup = Lookup(from_node, dht_key, payload);
+  auto lookup = Lookup(from_node, dht_key, key.SizeBytes());
   if (!lookup.ok()) return lookup.status();
   const uint64_t target = lookup->node;
   loads_[RingIndexOf(target)].stores += 1;
   const uint64_t expires =
       ttl_ticks == kNoExpiry ? kNoExpiry : now_ + ttl_ticks;
-  nodes_.at(target).Put(dht_key, std::move(app_key), std::move(value),
-                        expires);
+  nodes_.at(target).Put(dht_key, key, expires);
   return target;
 }
 
-StatusOr<std::string> DhtNetwork::GetValue(uint64_t from_node,
-                                           uint64_t dht_key,
-                                           const StoreKey& app_key) {
+StatusOr<StoreRecord> DhtNetwork::Get(uint64_t from_node, uint64_t dht_key,
+                                      const StoreKey& key) {
   ScopedSpan span(tracer_, "get");
-  auto lookup = Lookup(from_node, dht_key, app_key.SizeBytes());
+  auto lookup = Lookup(from_node, dht_key, key.SizeBytes());
   if (!lookup.ok()) return lookup.status();
-  const StoreRecord* rec = nodes_.at(lookup->node).Get(app_key, now_);
+  const StoreRecord* rec = nodes_.at(lookup->node).Get(key, now_);
   if (rec == nullptr) return Status::NotFound("no live record");
-  return rec->value;
+  return *rec;
 }
 
 NodeStore* DhtNetwork::StoreAt(uint64_t node_id) {

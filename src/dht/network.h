@@ -172,15 +172,18 @@ class DhtNetwork : private ThreadHostile {
   [[nodiscard]] Status DirectHop(uint64_t from_node, uint64_t to_node,
                    size_t payload_bytes = 0);
 
-  /// Full insert primitive: Lookup(dht_key) then store at the
-  /// responsible node. Returns the storing node.
+  /// Full insert primitive: Lookup(dht_key) then store `key` at the
+  /// responsible node, expiring `ttl_ticks` from now (kNoExpiry: never).
+  /// Returns the storing node.
   [[nodiscard]] StatusOr<uint64_t> Put(uint64_t from_node, uint64_t dht_key,
-                         StoreKey app_key, std::string value,
-                         uint64_t ttl_ticks);
+                                       const StoreKey& key,
+                                       uint64_t ttl_ticks);
 
-  /// Full lookup primitive; NotFound if the key has no live record.
-  [[nodiscard]] StatusOr<std::string> GetValue(uint64_t from_node, uint64_t dht_key,
-                                 const StoreKey& app_key);
+  /// Full lookup primitive: the live record of `key` at the responsible
+  /// node of `dht_key`, or NotFound.
+  [[nodiscard]] StatusOr<StoreRecord> Get(uint64_t from_node,
+                                          uint64_t dht_key,
+                                          const StoreKey& key);
 
   // ---- Direct state access (simulator-level, uncharged) ------------------
 
@@ -207,7 +210,7 @@ class DhtNetwork : private ThreadHostile {
   // ---- Fault injection ----------------------------------------------------
 
   /// Installs a seeded fault plan: every subsequent Lookup/DirectHop
-  /// (and the Put/GetValue primitives built on them) draws one
+  /// (and the Put/Get primitives built on them) draws one
   /// deterministic per-message decision — delivered, dropped
   /// (Unavailable), timed out (DeadlineExceeded) or target crashed
   /// (FailNode + Unavailable). Replaces any previous plan and resets
@@ -266,8 +269,9 @@ class DhtNetwork : private ThreadHostile {
   ///   * the ring index mirrors the membership map exactly (same IDs,
   ///     strictly sorted, clamped to the ID space);
   ///   * the per-node load vector stays parallel to the ring index;
-  ///   * every store passes NodeStore::AuditFull (byte accounting,
-  ///     expiry-heap coverage) and is bound to the network watermark;
+  ///   * every store passes NodeStore::AuditFull (cell layout, record
+  ///     count, expiry-heap coverage) and is bound to the network
+  ///     watermark;
   ///   * the network-wide earliest-expiry watermark is at or below the
   ///     true earliest finite expiry over all live records;
   ///   * geometry-derived routing state (Chord finger tables, Kademlia

@@ -164,7 +164,7 @@ void ShardedNetwork::StorePut(OpRun& run, size_t primary_idx) {
     net_->loads_[idx].stores += 1;
     NodeStore& store = net_->nodes_.at(net_->ring_[idx]);
     for (const StoreKey& app_key : run.put_keys()) {
-      store.Put(key, app_key, std::string(), expires);
+      store.Put(key, app_key, expires);
     }
     o.replicas_written += 1;
   };

@@ -1,192 +1,188 @@
 #include "dht/store.h"
 
-#include <map>
 #include <sstream>
-#include <utility>
-
-#include "common/bit_util.h"
+#include <string>
+#include <tuple>
 
 namespace dhs {
 
-std::string StoreKey::ToBytes() const {
-  if (kind_ == kRaw) return raw_;
-  std::string bytes;
-  bytes.reserve(kDhsEncodedBytes);
-  bytes.push_back('D');
-  AppendBE64(bytes, metric_);
-  bytes.push_back(static_cast<char>(bit_));
-  AppendBE16(bytes, static_cast<uint16_t>(vector_));
-  return bytes;
-}
-
-StoreKey StoreKey::FromBytes(const std::string& bytes) {
-  if (bytes.size() == kDhsEncodedBytes && bytes[0] == 'D') {
-    const uint64_t metric = LoadBE64(bytes.data() + 1);
-    const int bit = static_cast<uint8_t>(bytes[9]);
-    const int vector = LoadBE16(bytes.data() + 10);
-    return Dhs(metric, bit, vector);
-  }
-  return StoreKey(bytes);
-}
-
 void NodeStore::NoteExpiry(const StoreKey& key, uint64_t expires_at) {
   if (expires_at == kNoExpiry) return;
-  expiry_heap_.push(ExpiryEntry{expires_at, key});
+  expiry_heap_.push_back(ExpiryEntry{expires_at, key});
+  std::push_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry());
   if (watermark_ != nullptr && expires_at < *watermark_) {
     *watermark_ = expires_at;
   }
 }
 
-NodeStore::RecordMap::iterator NodeStore::EraseIt(RecordMap::iterator it) {
-  size_bytes_ -= it->first.SizeBytes() + it->second.value.size();
-  return records_.erase(it);
+std::pair<NodeStore::Cells::iterator, std::vector<NodeStore::Entry>::iterator>
+NodeStore::Locate(const StoreKey& key) {
+  auto cell = LowerCell(cells_, key.metric_id(), key.bit());
+  if (cell != cells_.end() && cell->metric == key.metric_id() &&
+      cell->bit == key.bit()) {
+    auto entry = std::lower_bound(
+        cell->entries.begin(), cell->entries.end(), key.vector_id(),
+        [](const Entry& e, int vector) { return e.vector < vector; });
+    if (entry != cell->entries.end() && entry->vector == key.vector_id()) {
+      return {cell, entry};
+    }
+  }
+  return {cells_.end(), {}};
 }
 
-void NodeStore::Put(uint64_t dht_key, StoreKey app_key, std::string value,
+void NodeStore::EraseAt(Cells::iterator cell,
+                        std::vector<Entry>::iterator entry) {
+  cell->entries.erase(entry);
+  if (cell->entries.empty()) cells_.erase(cell);
+  --num_records_;
+}
+
+void NodeStore::Put(uint64_t dht_key, const StoreKey& key,
                     uint64_t expires_at) {
-  auto [it, inserted] = records_.try_emplace(std::move(app_key));
-  StoreRecord& rec = it->second;
-  if (inserted) {
-    size_bytes_ += it->first.SizeBytes();
-    NoteExpiry(it->first, expires_at);
-  } else {
-    size_bytes_ -= rec.value.size();
+  auto cell = LowerCell(cells_, key.metric_id(), key.bit());
+  if (cell == cells_.end() || cell->metric != key.metric_id() ||
+      cell->bit != key.bit()) {
+    cell = cells_.insert(
+        cell, Cell{key.metric_id(), static_cast<uint8_t>(key.bit()), {}});
+  }
+  std::vector<Entry>& entries = cell->entries;
+  auto entry = std::lower_bound(
+      entries.begin(), entries.end(), key.vector_id(),
+      [](const Entry& e, int vector) { return e.vector < vector; });
+  if (entry != entries.end() && entry->vector == key.vector_id()) {
     // Only a strictly earlier deadline needs a fresh heap entry; a
     // refresh to a later one leaves the old entry to be skipped when
     // popped (lazy deletion).
-    if (expires_at < rec.expires_at) NoteExpiry(it->first, expires_at);
+    if (expires_at < entry->rec.expires_at) NoteExpiry(key, expires_at);
+    entry->rec = StoreRecord{dht_key, expires_at};
+    return;
   }
-  rec.dht_key = dht_key;
-  rec.value = std::move(value);
-  rec.expires_at = expires_at;
-  size_bytes_ += rec.value.size();
+  entries.insert(entry,
+                 Entry{StoreRecord{dht_key, expires_at},
+                       static_cast<uint16_t>(key.vector_id())});
+  ++num_records_;
+  NoteExpiry(key, expires_at);
 }
 
-const StoreRecord* NodeStore::Get(const StoreKey& app_key, uint64_t now) {
-  auto it = records_.find(app_key);
-  if (it == records_.end()) return nullptr;
-  if (it->second.expires_at <= now) {
-    EraseIt(it);
+const StoreRecord* NodeStore::Get(const StoreKey& key, uint64_t now) {
+  auto [cell, entry] = Locate(key);
+  if (cell == cells_.end()) return nullptr;
+  if (entry->rec.expires_at <= now) {
+    EraseAt(cell, entry);
     return nullptr;
   }
-  return &it->second;
+  return &entry->rec;
 }
 
-bool NodeStore::Erase(const StoreKey& app_key) {
-  auto it = records_.find(app_key);
-  if (it == records_.end()) return false;
-  EraseIt(it);
+bool NodeStore::Erase(const StoreKey& key) {
+  auto [cell, entry] = Locate(key);
+  if (cell == cells_.end()) return false;
+  EraseAt(cell, entry);
   return true;
 }
 
 size_t NodeStore::ExpireUntil(uint64_t now) {
   size_t dropped = 0;
-  while (!expiry_heap_.empty() && expiry_heap_.top().expires_at <= now) {
-    const ExpiryEntry& entry = expiry_heap_.top();
-    auto it = records_.find(entry.key);
-    expiry_heap_.pop();
+  while (!expiry_heap_.empty() && expiry_heap_.front().expires_at <= now) {
+    std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), LaterExpiry());
+    const StoreKey key = expiry_heap_.back().key;
+    expiry_heap_.pop_back();
     // A heap entry is stale when its record was refreshed to a later
     // deadline, erased, or already reaped via a duplicate entry.
-    if (it == records_.end()) continue;
-    if (it->second.expires_at <= now) {
-      EraseIt(it);
+    auto [cell, entry] = Locate(key);
+    if (cell == cells_.end()) continue;
+    if (entry->rec.expires_at <= now) {
+      EraseAt(cell, entry);
       ++dropped;
-    } else if (it->second.expires_at != kNoExpiry) {
+    } else if (entry->rec.expires_at != kNoExpiry) {
       // Refreshed to a later finite deadline: the popped entry was the
       // record's only guaranteed heap registration, so re-register at
       // the new deadline or the record would never be reaped.
-      NoteExpiry(it->first, it->second.expires_at);
+      NoteExpiry(key, entry->rec.expires_at);
     }
   }
   return dropped;
 }
 
-void NodeStore::MigrateAll(NodeStore& dest) {
-  if (this == &dest || records_.empty()) return;
-  // merge() moves only keys absent from dest; pre-erase collisions so
-  // the incoming record wins (last-writer-wins, as migration always
-  // did), and register the travelling expiries with dest's heap.
-  for (const auto& [key, rec] : records_) {
-    auto hit = dest.records_.find(key);
-    if (hit != dest.records_.end()) dest.EraseIt(hit);
-    dest.NoteExpiry(key, rec.expires_at);
-  }
-  dest.size_bytes_ += size_bytes_;
-  dest.records_.merge(records_);
-  size_bytes_ = 0;
-  expiry_heap_ = {};
-}
-
-NodeStore::RecordMap NodeStore::TakeRecords(uint64_t now) {
-  ExpireUntil(now);
-  RecordMap out = std::move(records_);
-  records_.clear();
-  expiry_heap_ = {};
-  size_bytes_ = 0;
-  return out;
-}
-
-void NodeStore::Adopt(RecordMap::node_type&& node) {
-  auto hit = records_.find(node.key());
-  if (hit != records_.end()) EraseIt(hit);
-  auto result = records_.insert(std::move(node));
-  size_bytes_ += result.position->first.SizeBytes() +
-                 result.position->second.value.size();
-  NoteExpiry(result.position->first, result.position->second.expires_at);
-}
-
 void NodeStore::Clear() {
-  records_.clear();
-  expiry_heap_ = {};
-  size_bytes_ = 0;
+  cells_.clear();
+  expiry_heap_.clear();
+  num_records_ = 0;
 }
 
 Status NodeStore::AuditFull(uint64_t now) const {
-  // Byte accounting: size_bytes_ is maintained incrementally on every
-  // put/erase/migrate; re-derive it from scratch.
-  size_t recomputed_bytes = 0;
-  for (const auto& [key, rec] : records_) {
-    recomputed_bytes += key.SizeBytes() + rec.value.size();
+  // Layout and record count: NumRecords()/SizeBytes() are maintained
+  // incrementally on every put/erase/migrate; re-derive them.
+  size_t records = 0;
+  for (size_t c = 0; c < cells_.size(); ++c) {
+    const Cell& cell = cells_[c];
+    const auto fail = [&cell](const std::string& what) {
+      std::ostringstream os;
+      os << "cell (metric " << cell.metric << ", bit " << int{cell.bit}
+         << ") " << what;
+      return Status::Internal(os.str());
+    };
+    if (cell.entries.empty()) return fail("is empty but was not erased");
+    if (c > 0 && std::tie(cells_[c - 1].metric, cells_[c - 1].bit) >=
+                     std::tie(cell.metric, cell.bit)) {
+      return fail("is not above its predecessor: cells out of order or "
+                  "duplicated");
+    }
+    for (size_t e = 1; e < cell.entries.size(); ++e) {
+      if (cell.entries[e - 1].vector >= cell.entries[e].vector) {
+        return fail("has entries out of order or duplicated at vector " +
+                    std::to_string(cell.entries[e].vector));
+      }
+    }
+    records += cell.entries.size();
   }
-  if (recomputed_bytes != size_bytes_) {
+  if (records != num_records_) {
     std::ostringstream os;
-    os << "store byte accounting drifted: maintained " << size_bytes_
-       << " vs recomputed " << recomputed_bytes << " over "
-       << records_.size() << " records";
+    os << "record count drifted: maintained " << num_records_
+       << " vs recomputed " << records << " over " << cells_.size()
+       << " cells";
     return Status::Internal(os.str());
   }
 
-  // Expiry tracking. Drain a copy of the heap into the per-key minimum
-  // deadline it knows about. Stale entries (lower than the record's
-  // current deadline, or for erased keys) are legal — the heap is a
-  // lazy lower bound — but every finite-TTL record MUST be covered by
-  // an entry at or below its deadline, or ExpireUntil would never reap
-  // it and MinExpiry() could overshoot the true earliest expiry.
-  std::map<StoreKey, uint64_t> heap_min;
-  for (auto heap = expiry_heap_; !heap.empty(); heap.pop()) {
-    const ExpiryEntry& entry = heap.top();
-    auto [it, inserted] = heap_min.try_emplace(entry.key, entry.expires_at);
-    if (!inserted && entry.expires_at < it->second) {
-      it->second = entry.expires_at;
-    }
+  // Expiry tracking. Stale entries (lower than the record's current
+  // deadline, or for erased keys) are legal — the heap is a lazy lower
+  // bound — but every finite-TTL record MUST be covered by an entry at
+  // or below its deadline, or ExpireUntil would never reap it and
+  // MinExpiry() could overshoot the true earliest expiry. Sorting a
+  // copy by (key, deadline) puts each key's minimum first, so one
+  // merge walk against the key-ordered records checks coverage.
+  if (!std::is_heap(expiry_heap_.begin(), expiry_heap_.end(),
+                    LaterExpiry())) {
+    return Status::Internal("expiry heap lost its heap order");
   }
+  std::vector<ExpiryEntry> by_key = expiry_heap_;
+  std::sort(by_key.begin(), by_key.end(),
+            [](const ExpiryEntry& a, const ExpiryEntry& b) {
+              return std::tie(a.key, a.expires_at) <
+                     std::tie(b.key, b.expires_at);
+            });
+  auto heap = by_key.begin();
   uint64_t true_min = kNoExpiry;
-  for (const auto& [key, rec] : records_) {
-    if (rec.expires_at == kNoExpiry) continue;
-    if (rec.expires_at <= now) continue;  // due; lazily reaped on access
-    true_min = std::min(true_min, rec.expires_at);
-    auto it = heap_min.find(key);
-    if (it == heap_min.end()) {
-      return Status::Internal(
-          "finite-TTL record has no expiry-heap entry (would never be "
-          "reaped): expires_at=" +
-          std::to_string(rec.expires_at));
-    }
-    if (it->second > rec.expires_at) {
-      std::ostringstream os;
-      os << "expiry-heap entry overshoots its record: heap min "
-         << it->second << " > record deadline " << rec.expires_at;
-      return Status::Internal(os.str());
+  for (const Cell& cell : cells_) {
+    for (const Entry& entry : cell.entries) {
+      const StoreKey key = StoreKey::Dhs(cell.metric, cell.bit, entry.vector);
+      while (heap != by_key.end() && heap->key < key) ++heap;
+      const uint64_t deadline = entry.rec.expires_at;
+      if (deadline == kNoExpiry) continue;
+      if (deadline <= now) continue;  // due; lazily reaped on access
+      true_min = std::min(true_min, deadline);
+      if (heap == by_key.end() || heap->key != key) {
+        return Status::Internal(
+            "finite-TTL record has no expiry-heap entry (would never be "
+            "reaped): expires_at=" +
+            std::to_string(deadline));
+      }
+      if (heap->expires_at > deadline) {
+        std::ostringstream os;
+        os << "expiry-heap entry overshoots its record: heap min "
+           << heap->expires_at << " > record deadline " << deadline;
+        return Status::Internal(os.str());
+      }
     }
   }
   if (MinExpiry() > true_min) {

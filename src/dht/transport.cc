@@ -33,7 +33,7 @@ StatusOr<std::string> ServePut(DhtNetwork& network, uint64_t node,
   load->stores += 1;
   const uint64_t expires = PutExpiry(put, network.now());
   for (const StoreKey& key : put.keys) {
-    store->Put(put.dst_key, key, std::string(), expires);
+    store->Put(put.dst_key, key, expires);
   }
   AckFrame ack;
   ack.code = static_cast<uint8_t>(StatusCode::kOk);

@@ -281,7 +281,8 @@ std::string EncodePut(const PutFrame& frame) {
   AppendLE64(out, frame.expiry);
   const uint32_t timeout = TupleTimeout(frame.expiry);
   for (const StoreKey& key : frame.keys) {
-    CHECK(key.is_dhs() && key.metric_id() == frame.metric_id) << "wire: put keys must be DHS keys of the frame's metric";
+    CHECK(key.metric_id() == frame.metric_id)
+        << "wire: put keys must carry the frame's metric";
     out.push_back(static_cast<char>(frame.metric_id & 0xff));
     AppendLE16(out, static_cast<uint16_t>(key.vector_id()));
     out.push_back(static_cast<char>(static_cast<uint8_t>(key.bit())));

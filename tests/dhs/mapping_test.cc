@@ -137,7 +137,6 @@ TEST(BitMappingTest, SmallIdSpace) {
 
 TEST(DhsKeyTest, RoundTripCoordinates) {
   const StoreKey key = MakeDhsKey(0xdeadbeef, 7, 511);
-  EXPECT_TRUE(key.is_dhs());
   EXPECT_EQ(key.metric_id(), 0xdeadbeefu);
   EXPECT_EQ(key.bit(), 7);
   EXPECT_EQ(key.vector_id(), 511);
@@ -146,17 +145,13 @@ TEST(DhsKeyTest, RoundTripCoordinates) {
 }
 
 TEST(DhsKeyTest, LegacyEncodingPreserved) {
-  // The on-the-wire byte layout is unchanged from the string-keyed
-  // store: 'D' | metric (8B BE) | bit (1B) | vector (2B BE).
-  const std::string bytes = MakeDhsKey(0xdeadbeef, 7, 12).ToBytes();
-  ASSERT_EQ(bytes.size(), StoreKey::kDhsEncodedBytes);
-  EXPECT_EQ(bytes[0], 'D');
-  EXPECT_EQ(static_cast<uint8_t>(bytes[5]), 0xde);
-  EXPECT_EQ(static_cast<uint8_t>(bytes[8]), 0xef);
-  EXPECT_EQ(static_cast<uint8_t>(bytes[9]), 7);
-  EXPECT_EQ(static_cast<uint8_t>(bytes[10]), 0);
-  EXPECT_EQ(static_cast<uint8_t>(bytes[11]), 12);
-  EXPECT_EQ(MakeDhsKey(0xdeadbeef, 7, 12).SizeBytes(), bytes.size());
+  // Accounting still charges the historical string encoding,
+  // 'D' | metric (8B BE) | bit (1B) | vector (2B BE): 12 bytes per key,
+  // whatever the coordinates.
+  EXPECT_EQ(StoreKey::kDhsEncodedBytes, 1u + 8u + 1u + 2u);
+  EXPECT_EQ(MakeDhsKey(0xdeadbeef, 7, 12).SizeBytes(), 12u);
+  EXPECT_EQ(MakeDhsKey(~uint64_t{0}, 255, 65535).SizeBytes(), 12u);
+  EXPECT_EQ(MakeDhsKey(0, 0, 0).SizeBytes(), 12u);
 }
 
 TEST(DhsKeyTest, DistinctCoordinatesDistinctKeys) {
@@ -172,8 +167,9 @@ TEST(DhsKeyTest, OrdersByMetricThenBitThenVector) {
   EXPECT_LT(MakeDhsKey(1, 9, 9), MakeDhsKey(2, 0, 0));
   EXPECT_LT(MakeDhsKey(1, 2, 9), MakeDhsKey(1, 3, 0));
   EXPECT_LT(MakeDhsKey(1, 2, 3), MakeDhsKey(1, 2, 4));
-  // DHS keys sort before raw string keys.
-  EXPECT_LT(MakeDhsKey(0xffffffffffffffffull, 255, 65535), StoreKey(""));
+  // The metric compares as an unsigned 64-bit integer.
+  EXPECT_LT(MakeDhsKey(0x7fffffffffffffffull, 255, 65535),
+            MakeDhsKey(0x8000000000000000ull, 0, 0));
 }
 
 TEST(IdIntervalTest, ContainsIsHalfOpen) {

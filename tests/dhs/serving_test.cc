@@ -87,8 +87,9 @@ std::string WorldDigest(const DhtNetwork& net) {
     const NodeStore* store = net.StoreAt(id);
     CHECK(store != nullptr);
     store->ForEach(net.now(), [&](const StoreKey& key, const StoreRecord& rec) {
-      os << "rec " << id << ' ' << key.ToBytes() << ' ' << rec.dht_key << ' '
-         << rec.value << ' ' << rec.expires_at << '\n';
+      os << "rec " << id << ' ' << key.metric_id() << ' ' << key.bit() << ' '
+         << key.vector_id() << ' ' << rec.dht_key << ' ' << rec.expires_at
+         << '\n';
     });
   }
   return os.str();

@@ -110,30 +110,34 @@ TEST(ChordRingTest, ReplicaCandidatesAreRingSuccessorsOfPrimary) {
   EXPECT_TRUE(lonely.ReplicaCandidates(interval, 5, 7, 3).empty());
 }
 
+// The DHS tuple the data tests store.
+const StoreKey kKey = StoreKey::Dhs(1, 2, 3);
+
 TEST(ChordDataTest, PutAndGetValue) {
   ChordNetwork net(FastConfig());
   for (uint64_t id : {100u, 200u, 300u}) ASSERT_TRUE(net.AddNode(id).ok());
-  auto holder = net.Put(100, 150, "app-key", "payload", kNoExpiry);
+  auto holder = net.Put(100, 150, kKey, kNoExpiry);
   ASSERT_TRUE(holder.ok());
   EXPECT_EQ(holder.value(), 200u);  // successor of 150
-  auto value = net.GetValue(300, 150, "app-key");
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(value.value(), "payload");
+  auto record = net.Get(300, 150, kKey);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->dht_key, 150u);
+  EXPECT_EQ(record->expires_at, kNoExpiry);
 }
 
 TEST(ChordDataTest, GetMissingIsNotFound) {
   ChordNetwork net(FastConfig());
   ASSERT_TRUE(net.AddNode(1).ok());
-  EXPECT_TRUE(net.GetValue(1, 5, "nope").status().IsNotFound());
+  EXPECT_TRUE(net.Get(1, 5, kKey).status().IsNotFound());
 }
 
 TEST(ChordDataTest, TtlExpiresViaClock) {
   ChordNetwork net(FastConfig());
   ASSERT_TRUE(net.AddNode(1).ok());
-  ASSERT_TRUE(net.Put(1, 5, "k", "v", 10).ok());
-  EXPECT_TRUE(net.GetValue(1, 5, "k").ok());
+  ASSERT_TRUE(net.Put(1, 5, kKey, 10).ok());
+  EXPECT_TRUE(net.Get(1, 5, kKey).ok());
   net.AdvanceClock(10);
-  EXPECT_TRUE(net.GetValue(1, 5, "k").status().IsNotFound());
+  EXPECT_TRUE(net.Get(1, 5, kKey).status().IsNotFound());
 }
 
 TEST(ChordDataTest, JoinTakesOverKeys) {
@@ -141,32 +145,32 @@ TEST(ChordDataTest, JoinTakesOverKeys) {
   ASSERT_TRUE(net.AddNode(100).ok());
   ASSERT_TRUE(net.AddNode(300).ok());
   // Key 150 currently owned by 300.
-  ASSERT_TRUE(net.Put(100, 150, "k", "v", kNoExpiry).ok());
-  EXPECT_NE(net.StoreAt(300)->Get("k", 0), nullptr);
+  ASSERT_TRUE(net.Put(100, 150, kKey, kNoExpiry).ok());
+  EXPECT_NE(net.StoreAt(300)->Get(kKey, 0), nullptr);
   // Node 200 joins and becomes responsible for (100, 200].
   ASSERT_TRUE(net.AddNode(200).ok());
-  EXPECT_EQ(net.StoreAt(300)->Get("k", 0), nullptr);
-  EXPECT_NE(net.StoreAt(200)->Get("k", 0), nullptr);
+  EXPECT_EQ(net.StoreAt(300)->Get(kKey, 0), nullptr);
+  EXPECT_NE(net.StoreAt(200)->Get(kKey, 0), nullptr);
   // Lookups now resolve to the new owner.
-  EXPECT_EQ(net.GetValue(100, 150, "k").value(), "v");
+  EXPECT_EQ(net.Get(100, 150, kKey).value().dht_key, 150u);
 }
 
 TEST(ChordDataTest, GracefulLeaveHandsOverKeys) {
   ChordNetwork net(FastConfig());
   for (uint64_t id : {100u, 200u, 300u}) ASSERT_TRUE(net.AddNode(id).ok());
-  ASSERT_TRUE(net.Put(100, 150, "k", "v", kNoExpiry).ok());
+  ASSERT_TRUE(net.Put(100, 150, kKey, kNoExpiry).ok());
   ASSERT_TRUE(net.RemoveNode(200).ok());
-  EXPECT_EQ(net.GetValue(100, 150, "k").value(), "v");  // now at 300
-  EXPECT_NE(net.StoreAt(300)->Get("k", 0), nullptr);
+  EXPECT_EQ(net.Get(100, 150, kKey).value().dht_key, 150u);  // now at 300
+  EXPECT_NE(net.StoreAt(300)->Get(kKey, 0), nullptr);
 }
 
 TEST(ChordDataTest, FailureLosesData) {
   ChordNetwork net(FastConfig());
   for (uint64_t id : {100u, 200u, 300u}) ASSERT_TRUE(net.AddNode(id).ok());
-  ASSERT_TRUE(net.Put(100, 150, "k", "v", kNoExpiry).ok());
+  ASSERT_TRUE(net.Put(100, 150, kKey, kNoExpiry).ok());
   ASSERT_TRUE(net.FailNode(200).ok());
   EXPECT_FALSE(net.Contains(200));
-  EXPECT_TRUE(net.GetValue(100, 150, "k").status().IsNotFound());
+  EXPECT_TRUE(net.Get(100, 150, kKey).status().IsNotFound());
 }
 
 TEST(ChordDataTest, RemoveUnknownNodeIsNotFound) {
@@ -189,12 +193,12 @@ TEST(ChordAuditTest, AuditPassesUnderChurnTtlAndRouting) {
     // tables), clock advances (drains expiry heaps), churn (invalidates
     // cached routing state).
     const uint64_t key = rng.Next();
-    ASSERT_TRUE(net.Put(live[rng.UniformU64(live.size())], key, "k", "v",
+    ASSERT_TRUE(net.Put(live[rng.UniformU64(live.size())], key, kKey,
                         1 + rng.UniformU64(20))
                     .ok());
     // NotFound is the expected outcome for random keys; only the charged
     // routing cost matters here.
-    (void)net.GetValue(live[rng.UniformU64(live.size())], rng.Next(), "k");
+    (void)net.Get(live[rng.UniformU64(live.size())], rng.Next(), kKey);
     if (round % 3 == 0) net.AdvanceClock(rng.UniformU64(8));
     if (round % 4 == 1 && live.size() > 8) {
       const size_t victim = rng.UniformU64(live.size());
@@ -226,8 +230,10 @@ TEST(ChordStatsTest, TotalStorageBytes) {
   ChordNetwork net(FastConfig());
   ASSERT_TRUE(net.AddNode(1).ok());
   ASSERT_TRUE(net.AddNode(1ull << 63).ok());
-  ASSERT_TRUE(net.Put(1, 2, "abc", "1234", kNoExpiry).ok());
-  EXPECT_EQ(net.TotalStorageBytes(), 7u);
+  ASSERT_TRUE(net.Put(1, 2, kKey, kNoExpiry).ok());
+  ASSERT_TRUE(net.Put(1, 2, StoreKey::Dhs(1, 2, 4), kNoExpiry).ok());
+  ASSERT_TRUE(net.Put(1, 2, kKey, 99).ok());  // a refresh adds no bytes
+  EXPECT_EQ(net.TotalStorageBytes(), 2 * StoreKey::kDhsEncodedBytes);
 }
 
 TEST(ChordStatsTest, RandomNodeIsUniformIsh) {

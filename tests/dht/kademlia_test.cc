@@ -107,59 +107,59 @@ TEST_F(KademliaTest, LookupHopsAreLogarithmic) {
   EXPECT_GE(hops.mean(), 2.0);
 }
 
+// The i-th DHS tuple the data tests store.
+StoreKey TupleKey(int i) { return StoreKey::Dhs(9, i % 24, i / 24); }
+
 TEST_F(KademliaTest, PutAndGetRoundTrip) {
   Build(128);
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {
     const uint64_t key = rng.Next();
-    const std::string app_key = "k" + std::to_string(i);
     ASSERT_TRUE(
-        net_.Put(net_.RandomNode(rng), key, app_key, "v", kNoExpiry).ok());
-    auto value = net_.GetValue(net_.RandomNode(rng), key, app_key);
-    ASSERT_TRUE(value.ok());
-    EXPECT_EQ(value.value(), "v");
+        net_.Put(net_.RandomNode(rng), key, TupleKey(i), kNoExpiry).ok());
+    auto record = net_.Get(net_.RandomNode(rng), key, TupleKey(i));
+    ASSERT_TRUE(record.ok());
+    EXPECT_EQ(record->dht_key, net_.space().Clamp(key));
   }
 }
 
 TEST_F(KademliaTest, JoinMigratesOwnership) {
   Build(64);
   Rng rng(6);
-  std::vector<std::pair<uint64_t, std::string>> stored;
+  std::vector<uint64_t> stored;
   for (int i = 0; i < 200; ++i) {
     const uint64_t key = rng.Next();
-    const std::string app_key = "k" + std::to_string(i);
     ASSERT_TRUE(
-        net_.Put(net_.RandomNode(rng), key, app_key, "v", kNoExpiry).ok());
-    stored.emplace_back(key, app_key);
+        net_.Put(net_.RandomNode(rng), key, TupleKey(i), kNoExpiry).ok());
+    stored.push_back(key);
   }
   // New joiners must receive the records they are now closest to.
   for (int j = 0; j < 32; ++j) {
     ASSERT_TRUE(net_.AddNode(rng.Next()).ok());
   }
-  for (const auto& [key, app_key] : stored) {
-    auto value = net_.GetValue(net_.RandomNode(rng), key, app_key);
-    ASSERT_TRUE(value.ok()) << app_key;
+  for (int i = 0; i < 200; ++i) {
+    auto record = net_.Get(net_.RandomNode(rng), stored[i], TupleKey(i));
+    ASSERT_TRUE(record.ok()) << "tuple " << i;
   }
 }
 
 TEST_F(KademliaTest, GracefulLeavePreservesData) {
   Build(64);
   Rng rng(7);
-  std::vector<std::pair<uint64_t, std::string>> stored;
+  std::vector<uint64_t> stored;
   for (int i = 0; i < 200; ++i) {
     const uint64_t key = rng.Next();
-    const std::string app_key = "k" + std::to_string(i);
     ASSERT_TRUE(
-        net_.Put(net_.RandomNode(rng), key, app_key, "v", kNoExpiry).ok());
-    stored.emplace_back(key, app_key);
+        net_.Put(net_.RandomNode(rng), key, TupleKey(i), kNoExpiry).ok());
+    stored.push_back(key);
   }
   auto ids = net_.NodeIds();
   for (size_t i = 0; i < ids.size(); i += 3) {
     ASSERT_TRUE(net_.RemoveNode(ids[i]).ok());
   }
-  for (const auto& [key, app_key] : stored) {
-    EXPECT_TRUE(net_.GetValue(net_.RandomNode(rng), key, app_key).ok())
-        << app_key;
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(net_.Get(net_.RandomNode(rng), stored[i], TupleKey(i)).ok())
+        << "tuple " << i;
   }
 }
 

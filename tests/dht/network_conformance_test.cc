@@ -85,31 +85,33 @@ TEST_P(NetworkConformanceTest, LookupFromEveryNodeTerminates) {
   }
 }
 
+// The i-th DHS tuple the data tests store.
+StoreKey TupleKey(int i) { return StoreKey::Dhs(5, i % 24, i / 24); }
+
 TEST_P(NetworkConformanceTest, PutGetAcrossArbitraryPairs) {
   Build(64);
   Rng rng(4);
   for (int i = 0; i < 100; ++i) {
     const uint64_t key = rng.Next();
-    const std::string app_key = "key-" + std::to_string(i);
-    ASSERT_TRUE(net_->Put(net_->RandomNode(rng), key, app_key,
-                          "value-" + std::to_string(i), kNoExpiry)
-                    .ok());
-    auto value = net_->GetValue(net_->RandomNode(rng), key, app_key);
-    ASSERT_TRUE(value.ok());
-    EXPECT_EQ(value.value(), "value-" + std::to_string(i));
+    // A distinct TTL per tuple: the read must return this put's record.
+    const uint64_t ttl = 1000 + static_cast<uint64_t>(i);
+    ASSERT_TRUE(net_->Put(net_->RandomNode(rng), key, TupleKey(i), ttl).ok());
+    auto record = net_->Get(net_->RandomNode(rng), key, TupleKey(i));
+    ASSERT_TRUE(record.ok());
+    EXPECT_EQ(record->dht_key, key);
+    EXPECT_EQ(record->expires_at, net_->now() + ttl);
   }
 }
 
 TEST_P(NetworkConformanceTest, DataFollowsResponsibilityThroughChurn) {
   Build(48);
   Rng rng(5);
-  std::vector<std::pair<uint64_t, std::string>> stored;
+  std::vector<uint64_t> stored;
   for (int i = 0; i < 150; ++i) {
     const uint64_t key = rng.Next();
-    const std::string app_key = "churn-" + std::to_string(i);
     ASSERT_TRUE(
-        net_->Put(net_->RandomNode(rng), key, app_key, "v", kNoExpiry).ok());
-    stored.emplace_back(key, app_key);
+        net_->Put(net_->RandomNode(rng), key, TupleKey(i), kNoExpiry).ok());
+    stored.push_back(key);
   }
   // Interleave joins and graceful leaves.
   for (int round = 0; round < 20; ++round) {
@@ -121,41 +123,40 @@ TEST_P(NetworkConformanceTest, DataFollowsResponsibilityThroughChurn) {
   }
   // Every record must still be reachable AND stored at its current
   // responsible node.
-  for (const auto& [key, app_key] : stored) {
-    auto value = net_->GetValue(net_->RandomNode(rng), key, app_key);
-    ASSERT_TRUE(value.ok()) << app_key;
+  for (int i = 0; i < 150; ++i) {
+    const uint64_t key = stored[static_cast<size_t>(i)];
+    auto record = net_->Get(net_->RandomNode(rng), key, TupleKey(i));
+    ASSERT_TRUE(record.ok()) << "tuple " << i;
     const uint64_t responsible = net_->ResponsibleNode(key).value();
-    EXPECT_NE(net_->StoreAt(responsible)->Get(app_key, net_->now()),
+    EXPECT_NE(net_->StoreAt(responsible)->Get(TupleKey(i), net_->now()),
               nullptr)
-        << app_key;
+        << "tuple " << i;
   }
 }
 
 TEST_P(NetworkConformanceTest, FailureLosesOnlyTheFailedNodesData) {
   Build(48);
   Rng rng(6);
-  std::vector<std::pair<uint64_t, std::string>> stored;
+  std::vector<uint64_t> stored;
   for (int i = 0; i < 200; ++i) {
     const uint64_t key = rng.Next();
-    const std::string app_key = "f-" + std::to_string(i);
     ASSERT_TRUE(
-        net_->Put(net_->RandomNode(rng), key, app_key, "v", kNoExpiry).ok());
-    stored.emplace_back(key, app_key);
+        net_->Put(net_->RandomNode(rng), key, TupleKey(i), kNoExpiry).ok());
+    stored.push_back(key);
   }
   const uint64_t victim = net_->RandomNode(rng);
-  std::set<std::string> on_victim;
-  net_->StoreAt(victim)->ForEachWithPrefix(
-      "", net_->now(),
-      [&](const std::string& key, const StoreRecord&) {
-        on_victim.insert(key);
-      });
+  std::set<StoreKey> on_victim;
+  net_->StoreAt(victim)->ForEach(
+      net_->now(),
+      [&](const StoreKey& key, const StoreRecord&) { on_victim.insert(key); });
   ASSERT_TRUE(net_->FailNode(victim).ok());
-  for (const auto& [key, app_key] : stored) {
-    auto value = net_->GetValue(net_->RandomNode(rng), key, app_key);
-    if (on_victim.count(app_key) > 0) {
-      EXPECT_FALSE(value.ok()) << app_key;  // lost with the node
+  for (int i = 0; i < 200; ++i) {
+    auto record = net_->Get(net_->RandomNode(rng),
+                            stored[static_cast<size_t>(i)], TupleKey(i));
+    if (on_victim.count(TupleKey(i)) > 0) {
+      EXPECT_FALSE(record.ok()) << "tuple " << i;  // lost with the node
     } else {
-      EXPECT_TRUE(value.ok()) << app_key;  // unaffected
+      EXPECT_TRUE(record.ok()) << "tuple " << i;  // unaffected
     }
   }
 }
@@ -191,8 +192,8 @@ TEST_P(NetworkConformanceTest, NonEmptyIntervalCandidatesCoverHolders) {
   std::set<uint64_t> holders;
   for (int i = 0; i < 20; ++i) {
     const uint64_t key = interval.lo + rng.UniformU64(interval.size);
-    auto holder = net_->Put(net_->RandomNode(rng), key,
-                            "cover-" + std::to_string(i), "v", kNoExpiry);
+    auto holder =
+        net_->Put(net_->RandomNode(rng), key, TupleKey(i), kNoExpiry);
     ASSERT_TRUE(holder.ok());
     holders.insert(holder.value());
   }
@@ -265,10 +266,10 @@ TEST_P(NetworkConformanceTest, LoadServedMatchesLookups) {
 TEST_P(NetworkConformanceTest, ClockExpiryIsGeometryIndependent) {
   Build(32);
   Rng rng(10);
-  ASSERT_TRUE(net_->Put(net_->RandomNode(rng), 42, "ttl", "v", 5).ok());
-  EXPECT_TRUE(net_->GetValue(net_->RandomNode(rng), 42, "ttl").ok());
+  ASSERT_TRUE(net_->Put(net_->RandomNode(rng), 42, TupleKey(0), 5).ok());
+  EXPECT_TRUE(net_->Get(net_->RandomNode(rng), 42, TupleKey(0)).ok());
   net_->AdvanceClock(5);
-  EXPECT_TRUE(net_->GetValue(net_->RandomNode(rng), 42, "ttl")
+  EXPECT_TRUE(net_->Get(net_->RandomNode(rng), 42, TupleKey(0))
                   .status()
                   .IsNotFound());
 }

@@ -77,12 +77,13 @@ TEST_P(ReconcileTest, RootSpansSumToGlobalStats) {
   for (int step = 0; step < 600; ++step) {
     const uint64_t origin = net->RandomNode(rng);
     switch (rng.Next() % 8) {
-      case 0: {  // raw routed put (may fail under faults — still traced)
-        (void)net->Put(origin, rng.Next(), "k", "v", kNoExpiry);
+      case 0: {  // routed put (may fail under faults — still traced)
+        (void)net->Put(origin, rng.Next(), StoreKey::Dhs(metric + 1, 0, 0),
+                       kNoExpiry);
         break;
       }
       case 1: {
-        (void)net->GetValue(origin, rng.Next(), "k");
+        (void)net->Get(origin, rng.Next(), StoreKey::Dhs(metric + 1, 0, 0));
         break;
       }
       case 2: {

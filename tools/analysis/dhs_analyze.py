@@ -726,11 +726,6 @@ class ClangRefiner:
                         project.aliases.setdefault(
                             cur.spelling,
                             under.get_canonical().spelling)
-                elif kind == ck.FIELD_DECL:
-                    parent = cur.semantic_parent
-                    cls = parent.spelling if parent is not None else ""
-                    project.field_types[(cls, cur.spelling)] = (
-                        cur.type.get_canonical().spelling)
                 elif kind in (ck.FUNCTION_DECL, ck.CXX_METHOD):
                     ret = cur.result_type.spelling
                     if "StatusOr<" in ret:
@@ -749,7 +744,6 @@ class Project:
         self.files = {}             # rel -> FileModel
         self.aliases = {}           # merged alias map
         self.classes = {}           # name -> ClassModel (last wins)
-        self.field_types = {}       # (class, member) -> type text
         self.statusor_returners = set()
         self.functions = []             # (rel, FunctionModel)
 
@@ -776,9 +770,6 @@ class Project:
             self.aliases.update(fm.aliases)
             for cls in fm.classes:
                 self.classes[cls.name] = cls
-                for mem in cls.members:
-                    self.field_types.setdefault(
-                        (cls.name, mem.name), mem.type_text)
             for fn in fm.functions:
                 self.functions.append((rel, fn))
                 if "StatusOr" in self.resolve_type(fn.return_type):

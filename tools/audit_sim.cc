@@ -1,10 +1,10 @@
 // audit_sim — differential model checker for the DHS simulator.
 //
 // Drives a deterministic randomized sequence of overlay operations
-// (join / graceful leave / abrupt failure / raw put / get / clock ticks
-// / DHS inserts / distributed counts) against BOTH the real simulator
-// and an independent brute-force reference model, and cross-checks
-// every observable after every step:
+// (join / graceful leave / abrupt failure / routed put / get of single
+// tuples / clock ticks / DHS inserts / distributed counts) against BOTH
+// the real simulator and an independent brute-force reference model,
+// and cross-checks every observable after every step:
 //
 //   * membership: node count, successor/predecessor, range counts;
 //   * responsibility: ResponsibleNode vs a cache-free argmin scan;
@@ -13,8 +13,8 @@
 //     per-hop XOR descent for Kademlia);
 //   * cost accounting: MessageStats deltas vs reference-predicted
 //     message/hop/byte counts, and vs the client's own DhsCostReport;
-//   * store contents: every reference record retrievable with its exact
-//     value, no extra live raw records anywhere;
+//   * store contents: every reference put retrievable with its exact
+//     routing key and deadline, no extra live put tuples anywhere;
 //   * estimates: Count observables and estimates vs a global scan over
 //     all node stores (lim >= N forces the probe walk to be exhaustive,
 //     so any divergence is a simulator bug, not sampling noise);
@@ -128,7 +128,6 @@ enum class Geometry { kChord, kKademlia };
 
 struct RefRecord {
   uint64_t dht_key = 0;
-  std::string value;
   uint64_t expires_at = kNoExpiry;
 };
 
@@ -153,9 +152,9 @@ class RefModel {
     members_.erase(id);
   }
 
-  void Put(const std::string& key, uint64_t dht_key, std::string value,
-           uint64_t expires_at) {
-    records_[key] = RefRecord{dht_key, std::move(value), expires_at};
+  /// Records put number `idx` (see DifferentialSim::PutTuple).
+  void Put(uint64_t idx, uint64_t dht_key, uint64_t expires_at) {
+    records_[idx] = RefRecord{dht_key, expires_at};
   }
 
   void Tick(uint64_t ticks) {
@@ -172,7 +171,7 @@ class RefModel {
   uint64_t now() const { return now_; }
   size_t NumNodes() const { return members_.size(); }
   const std::set<uint64_t>& members() const { return members_; }
-  const std::map<std::string, RefRecord>& records() const { return records_; }
+  const std::map<uint64_t, RefRecord>& records() const { return records_; }
 
   uint64_t RandomMember(Rng& rng) const {
     auto it = members_.begin();
@@ -281,7 +280,7 @@ class RefModel {
   IdSpace space_;
   uint64_t now_ = 0;
   std::set<uint64_t> members_;
-  std::map<std::string, RefRecord> records_;
+  std::map<uint64_t, RefRecord> records_;  // by put number
 };
 
 // ---------------------------------------------------------------------------
@@ -524,14 +523,26 @@ class DifferentialSim {
     ++ops_;
   }
 
+  /// Put number `idx` is always the same tuple at the same routing key:
+  /// a tuple of kPutMetric, placed where a DHS insert would place it (a
+  /// routing key inside its bit's interval), so the client audit holds
+  /// for it and counts of metrics 1 and 2 never see it. Re-puts refresh
+  /// in place instead of stranding stale copies under another key.
+  std::pair<StoreKey, uint64_t> PutTuple(uint64_t idx) const {
+    const BitMapping& mapping = client_->mapping();
+    const uint64_t bits =
+        static_cast<uint64_t>(mapping.MaxBit() - mapping.MinBit() + 1);
+    const int bit = mapping.MinBit() + static_cast<int>(idx % bits);
+    const int vector = static_cast<int>(idx / bits);
+    auto interval = mapping.IntervalForBit(bit);
+    CHECK_OK(interval) << "put tuple bit " << bit;
+    return {StoreKey::Dhs(kPutMetric, bit, vector),
+            interval->lo + key_hasher_.HashU64(idx) % interval->size};
+  }
+
   void DoPut() {
-    // The routing key is a hash of the record name (as a real DHT would
-    // route it): re-puts overwrite in place instead of stranding stale
-    // copies under a different random key.
     const uint64_t idx = rng_.UniformU64(64);
-    const std::string key = "rec-" + std::to_string(idx);
-    const std::string value = "v" + std::to_string(rng_.Next());
-    const uint64_t dht_key = key_hasher_.HashU64(idx);
+    const auto [key, dht_key] = PutTuple(idx);
     const uint64_t ttl = 1 + rng_.UniformU64(60);
     const uint64_t from = ref_.RandomMember(rng_);
 
@@ -539,7 +550,7 @@ class DifferentialSim {
     const uint64_t seq_before = net_->fault_plan().seq();
     const uint64_t target = ref_.Responsible(dht_key);
     const FaultType fault = PeekFault(from, target);
-    auto holder = net_->Put(from, dht_key, key, value, ttl);
+    auto holder = net_->Put(from, dht_key, key, ttl);
     CheckSeqAdvanced(seq_before, "put");
     if (fault != FaultType::kNone) {
       CHECK(!holder.ok())
@@ -555,60 +566,58 @@ class DifferentialSim {
     CHECK_EQ(holder.value(), target)
         << "step " << step_ << ": put landed on the wrong node";
     ExpectStatsDelta(before, 1, expect_hops,
-                     static_cast<uint64_t>(expect_hops) *
-                         (key.size() + value.size()),
+                     static_cast<uint64_t>(expect_hops) * key.SizeBytes(),
                      "put");
-    ref_.Put(key, dht_key, value, ref_.now() + ttl);
+    ref_.Put(idx, dht_key, ref_.now() + ttl);
     ++ops_;
   }
 
   void DoGet() {
     const uint64_t from = ref_.RandomMember(rng_);
-    // Half the time aim at a key the reference says is live.
-    std::string key;
-    uint64_t dht_key;
+    // Half the time aim at a put the reference says is live.
+    uint64_t idx;
     if (!ref_.records().empty() && rng_.UniformU64(2) == 0) {
       auto it = ref_.records().begin();
       std::advance(it, static_cast<long>(
                            rng_.UniformU64(ref_.records().size())));
-      key = it->first;
-      dht_key = it->second.dht_key;
+      idx = it->first;
     } else {
-      const uint64_t idx = rng_.UniformU64(96);
-      key = "rec-" + std::to_string(idx);
-      dht_key = key_hasher_.HashU64(idx);
+      idx = rng_.UniformU64(96);
     }
+    const auto [key, dht_key] = PutTuple(idx);
 
-    const auto ref_it = ref_.records().find(key);
+    const auto ref_it = ref_.records().find(idx);
     const MessageStats before = net_->stats();
     const uint64_t seq_before = net_->fault_plan().seq();
     const uint64_t target = ref_.Responsible(dht_key);
     const FaultType fault = PeekFault(from, target);
-    auto value = net_->GetValue(from, dht_key, key);
+    auto record = net_->Get(from, dht_key, key);
     CheckSeqAdvanced(seq_before, "get");
     if (fault != FaultType::kNone) {
-      CHECK(!value.ok())
+      CHECK(!record.ok())
           << "step " << step_ << ": get delivered despite a predicted "
           << FaultTypeName(fault);
-      CheckFaultedOp(value.status(), fault, target, before, "faulted get");
+      CheckFaultedOp(record.status(), fault, target, before, "faulted get");
       ReconcileCrashes();
       ++ops_;
       return;
     }
     const int expect_hops = ref_.RouteHops(from, dht_key);
     if (ref_it != ref_.records().end()) {
-      CHECK_OK(value) << "step " << step_
-                      << ": live reference record not retrievable: " << key;
-      CHECK(value.value() == ref_it->second.value)
-          << "step " << step_ << ": value mismatch for " << key << ": got "
-          << value.value() << " want " << ref_it->second.value;
+      CHECK_OK(record) << "step " << step_
+                       << ": live reference put not retrievable: " << idx;
+      CHECK_EQ(record->dht_key, ref_it->second.dht_key)
+          << "step " << step_ << ": routing key mismatch for put " << idx;
+      CHECK_EQ(record->expires_at, ref_it->second.expires_at)
+          << "step " << step_ << ": deadline mismatch for put " << idx;
     } else {
-      CHECK(value.status().IsNotFound())
-          << "step " << step_ << ": phantom record " << key << ": "
-          << value.status().ToString();
+      CHECK(record.status().IsNotFound())
+          << "step " << step_ << ": phantom put " << idx << ": "
+          << record.status().ToString();
     }
     ExpectStatsDelta(before, 1, expect_hops,
-                     static_cast<uint64_t>(expect_hops) * key.size(), "get");
+                     static_cast<uint64_t>(expect_hops) * key.SizeBytes(),
+                     "get");
     ++ops_;
   }
 
@@ -782,26 +791,26 @@ class DifferentialSim {
   }
 
   void CheckStoresAgainstReference() {
-    // Every live reference record must be retrievable with its exact
-    // value, and the network must hold no extra live raw records.
+    // Every live reference put must be retrievable with its exact
+    // routing key and deadline, and the network must hold no extra live
+    // put tuples.
     const PausedFaults paused(net_.get());
     const uint64_t from = ref_.RandomMember(rng_);
-    for (const auto& [key, rec] : ref_.records()) {
-      auto value = net_->GetValue(from, rec.dht_key, key);
-      CHECK_OK(value) << "step " << step_ << ": reference record " << key
-                      << " missing from the network";
-      CHECK(value.value() == rec.value)
-          << "step " << step_ << ": stale value for " << key;
+    for (const auto& [idx, rec] : ref_.records()) {
+      auto record = net_->Get(from, rec.dht_key, PutTuple(idx).first);
+      CHECK_OK(record) << "step " << step_ << ": reference put " << idx
+                       << " missing from the network";
+      CHECK_EQ(record->expires_at, rec.expires_at)
+          << "step " << step_ << ": stale deadline for put " << idx;
     }
-    size_t live_raw = 0;
+    size_t live_puts = 0;
     for (uint64_t node : net_->NodeIds()) {
-      net_->StoreAt(node)->ForEach(
-          net_->now(), [&](const StoreKey& key, const StoreRecord&) {
-            if (!key.is_dhs()) ++live_raw;
-          });
+      net_->StoreAt(node)->ForEachDhsMetric(
+          kPutMetric, net_->now(),
+          [&](const StoreKey&, const StoreRecord&) { ++live_puts; });
     }
-    CHECK_EQ(live_raw, ref_.records().size())
-        << "step " << step_ << ": live raw record count diverges";
+    CHECK_EQ(live_puts, ref_.records().size())
+        << "step " << step_ << ": live put tuple count diverges";
   }
 
   void CheckCountsAgainstGlobalScan() {
@@ -965,6 +974,8 @@ class DifferentialSim {
   Rng rng_;
   MixHasher item_hasher_;
   MixHasher key_hasher_{0x7265636f72647321ull};
+  // The put/get op's metric: never inserted or counted by the client.
+  static constexpr uint64_t kPutMetric = 3;
   std::unique_ptr<DhsClient> client_;
   /// Engine mode (--engine): DHS ops run through the front door;
   /// client_ stays alive for mapping/config and the DHS-level audit (it
@@ -1009,8 +1020,9 @@ std::string ServingWorldDigest(const DhtNetwork& net) {
   for (uint64_t id : net.NodeIds()) {
     net.StoreAt(id)->ForEach(
         net.now(), [&](const StoreKey& key, const StoreRecord& rec) {
-          os << "rec " << id << ' ' << key.ToBytes() << ' ' << rec.dht_key
-             << ' ' << rec.value << ' ' << rec.expires_at << '\n';
+          os << "rec " << id << ' ' << key.metric_id() << ' ' << key.bit()
+             << ' ' << key.vector_id() << ' ' << rec.dht_key << ' '
+             << rec.expires_at << '\n';
         });
   }
   return os.str();
