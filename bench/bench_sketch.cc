@@ -1,7 +1,7 @@
 // A3 — Microbenchmarks for the sketch kernels (google-benchmark).
 //
 // Measures the local building blocks that every DHS operation rests on:
-// AddHash throughput, estimation latency, merge, serialization, and the
+// AddHash throughput, estimation latency, merge, and the
 // MD4 vs SplitMix64 hashing cost that motivates the "mix" default in
 // the simulator.
 
@@ -70,16 +70,6 @@ void BM_PcsaMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PcsaMerge)->Arg(64)->Arg(512)->Arg(4096);
-
-void BM_SketchSerialize(benchmark::State& state) {
-  LogLogSketch sketch(static_cast<int>(state.range(0)), 24);
-  Rng rng(1);
-  for (int i = 0; i < 10000; ++i) sketch.AddHash(rng.Next());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sketch.Serialize());
-  }
-}
-BENCHMARK(BM_SketchSerialize)->Arg(512);
 
 void BM_Md4HashU64(benchmark::State& state) {
   Md4Hasher hasher;

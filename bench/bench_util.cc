@@ -44,16 +44,16 @@ double EnvDouble(const char* name, double fallback) {
   return parsed;
 }
 
-int EnvInt(const char* name, int fallback, int min) {
+int EnvInt(const char* name, int fallback) {
   const char* value = EnvValue(name);
   if (value == nullptr) return fallback;
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno != 0 || parsed < min ||
+  if (end == value || *end != '\0' || errno != 0 || parsed < 1 ||
       parsed > std::numeric_limits<int>::max()) {
     RejectKnob(name, value,
-               "a whole number in [" + std::to_string(min) + ", " +
+               "a whole number in [1, " +
                    std::to_string(std::numeric_limits<int>::max()) + "]");
   }
   return static_cast<int>(parsed);

@@ -71,7 +71,7 @@ constexpr const char* kOpNames[] = {"insert", "insert_batch", "count"};
 /// tracing is off).
 void TraceRetry(DhtNetwork* network, const char* what, int attempt) {
   Tracer* tracer = network->tracer();
-  if (tracer == nullptr || !tracer->enabled()) return;
+  if (tracer == nullptr) return;
   tracer->Instant("retry", {TraceArg::Str("what", what),
                             TraceArg::I64("attempt", attempt)});
 }

@@ -7,24 +7,23 @@
 namespace dhs {
 
 StatusOr<DhsServing> DhsServing::Create(DhsFrontDoor* front_door,
-                                        const DhsServingConfig& config) {
+                                        const DhsServingConfig& /*config*/) {
   if (front_door == nullptr) {
     return Status::InvalidArgument("front door must not be null");
   }
-  return DhsServing(front_door, front_door->client(), config);
+  return DhsServing(front_door, front_door->client());
 }
 
 StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
-                                        const DhsServingConfig& config) {
+                                        const DhsServingConfig& /*config*/) {
   if (client == nullptr) {
     return Status::InvalidArgument("client must not be null");
   }
-  return DhsServing(nullptr, client, config);
+  return DhsServing(nullptr, client);
 }
 
-DhsServing::DhsServing(DhsFrontDoor* door, DhsClient* client,
-                       const DhsServingConfig& config)
-    : door_(door), client_(client), config_(config) {}
+DhsServing::DhsServing(DhsFrontDoor* door, DhsClient* client)
+    : door_(door), client_(client) {}
 
 void DhsServing::MaybeAttachMetrics() {
   MetricsRegistry* registry = network()->metrics();
@@ -99,12 +98,6 @@ void DhsServing::FlushInserts(Rng& rng) {
 
 void DhsServing::FlushCounts(Rng& rng) {
   if (pending_counts_.empty()) return;
-  if (!config_.coalesce_counts) {
-    for (size_t i = 0; i < pending_counts_.size(); ++i) {
-      RunCountWave({i}, rng);
-    }
-    return;
-  }
   // Coalesce by exact metric set, first-seen order. Distinct sets are
   // NOT merged into one sweep: overlapping sets interact through the
   // frontier cache, and sequential replay must see the same waves.

@@ -40,10 +40,10 @@
 
 namespace dhs {
 
-struct DhsServingConfig {
-  /// Merge pending counts of the same metric set into one wave.
-  bool coalesce_counts = true;
-};
+/// Serving has no switches: pending counts of the same metric set
+/// always share one wave. The struct and the Create parameter remain
+/// only because the repository benchmark constructs one and passes it.
+struct DhsServingConfig {};
 
 /// One executed serving decision, in execution order. Replaying the
 /// log against a plain backend (same world, same seed) reproduces the
@@ -113,7 +113,6 @@ class DhsServing {
   void InvalidateMetric(uint64_t metric_id);
 
   const DhsConfig& config() const { return client_->config(); }
-  const DhsServingConfig& serving_config() const { return config_; }
   DhtNetwork* network() const { return client_->network(); }
   const ServingStats& stats() const { return stats_; }
 
@@ -128,8 +127,7 @@ class DhsServing {
  private:
   /// `client` is never null: the front door's own client, or the
   /// sequential backend.
-  DhsServing(DhsFrontDoor* door, DhsClient* client,
-             const DhsServingConfig& config);
+  DhsServing(DhsFrontDoor* door, DhsClient* client);
 
   struct PendingCount {
     uint64_t ticket;
@@ -155,7 +153,6 @@ class DhsServing {
 
   DhsFrontDoor* door_;  // null for the sequential backend
   DhsClient* client_;   // config, network, mapping and frontier cache
-  DhsServingConfig config_;
   ServingMetrics metrics_;
   MetricsRegistry* metrics_attached_ = nullptr;
   void MaybeAttachMetrics();

@@ -216,7 +216,7 @@ Status DhtNetwork::InjectFault(uint64_t from_node, uint64_t target_node) {
   // endpoints imply a survivor).
   if (target_node == from_node) return Status::OK();
   fault_plan_.RecordApplied(decision);
-  if (tracer_ != nullptr && tracer_->enabled()) {
+  if (tracer_ != nullptr) {
     tracer_->Instant("fault",
                      {TraceArg::Str("kind", FaultTypeName(decision)),
                       TraceArg::U64("from", from_node),

@@ -238,8 +238,8 @@ class DhtNetwork : private ThreadHostile {
   /// Attaches a tracer (nullptr detaches). The network binds it to its
   /// own stats counters and virtual clock, and every routed operation
   /// then records spans (lookup/direct_hop/put/get) and instants
-  /// (per-routing-hop, fault injections). Off by default; a detached or
-  /// disabled tracer costs one branch per operation.
+  /// (per-routing-hop, fault injections). Off by default; with no tracer
+  /// attached, tracing costs one branch per operation.
   void AttachTracer(Tracer* tracer);
   Tracer* tracer() const { return tracer_; }
 

@@ -106,7 +106,6 @@ void Tracer::Bind(const MessageStats* stats, const uint64_t* clock) {
 }
 
 uint64_t Tracer::BeginSpan(std::string_view name) {
-  if (!enabled_) return 0;
   TraceSpanRecord span;
   span.id = spans_.size() + 1;
   span.parent = stack_.empty() ? 0 : stack_.back();
@@ -139,7 +138,6 @@ void Tracer::AnnotateSpan(uint64_t id, TraceArg arg) {
 }
 
 void Tracer::Instant(std::string_view name, std::vector<TraceArg> args) {
-  if (!enabled_) return;
   InstantRecord rec;
   rec.seq = seq_++;
   rec.tick = NowTick();

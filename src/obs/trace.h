@@ -21,11 +21,11 @@
 // span ids are densely allocated from 1. Two runs of the same seeded
 // scenario therefore export byte-identical traces.
 //
-// Cost when disabled: call sites guard on `tracer == nullptr ||
-// !tracer->enabled()` (one predictable branch, see ScopedSpan), so the
-// traced-off hot path performs no allocation and records no event
-// (bench/bench_obs_overhead.cc measures this; tests/obs/overhead_test.cc
-// asserts the zero-allocation / zero-event contract).
+// A tracer records exactly while it is attached. Call sites guard on
+// `tracer == nullptr` (one predictable branch, see ScopedSpan), so with
+// no tracer attached the hot path performs no allocation and records no
+// event (tests/obs/overhead_test.cc asserts the zero-allocation /
+// zero-event contract).
 //
 // Export: Chrome trace-event JSON (chrome://tracing, Perfetto) and a
 // line-per-event JSONL stream for ad-hoc tooling. Both are rendered
@@ -92,15 +92,10 @@ class Tracer : private ThreadHostile {
   /// while a span is open.
   void Bind(const MessageStats* stats, const uint64_t* clock);
 
-  /// Tracers record by default; a disabled tracer is a null sink (every
-  /// recording call returns immediately, no allocation).
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
   // ---- Recording ---------------------------------------------------------
 
   /// Opens a span nested under the currently innermost open span.
-  /// Returns its id (0 when disabled — EndSpan ignores 0).
+  /// Returns its id (ids start at 1; EndSpan ignores 0).
   uint64_t BeginSpan(std::string_view name);
 
   /// Closes `id`, which must be the innermost open span (spans close in
@@ -168,7 +163,6 @@ class Tracer : private ThreadHostile {
   /// `os`; `chrome` selects the trace-event rendering over the JSONL one.
   void WriteEvents(std::ostream& os, bool chrome, const char* separator) const;
 
-  bool enabled_ = true;
   const MessageStats* stats_ = nullptr;
   const uint64_t* clock_ = nullptr;
   uint64_t seq_ = 0;  // next global event sequence number
@@ -179,13 +173,13 @@ class Tracer : private ThreadHostile {
   std::vector<uint64_t> stack_;  // open span ids, innermost last
 };
 
-/// RAII span guard with the null-sink branch inlined: when `tracer` is
-/// null or disabled, construction is a branch and nothing else — no
-/// virtual call, no allocation, no event.
+/// RAII span guard with the null-tracer branch inlined: when `tracer` is
+/// null, construction is a branch and nothing else — no virtual call,
+/// no allocation, no event.
 class ScopedSpan {
  public:
   ScopedSpan(Tracer* tracer, std::string_view name)
-      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+      : tracer_(tracer),
         id_(tracer_ != nullptr ? tracer_->BeginSpan(name) : 0) {}
 
   ~ScopedSpan() {
@@ -196,7 +190,7 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   /// True when the span is actually recording; guard any argument
-  /// construction on this so the disabled path stays allocation-free.
+  /// construction on this so the untraced path stays allocation-free.
   bool active() const { return tracer_ != nullptr; }
 
   /// The recording tracer, or nullptr when inactive.

@@ -106,42 +106,6 @@ std::vector<int> HllSketch::ObservablesM() const {
   return std::vector<int>(registers_.begin(), registers_.end());
 }
 
-std::string HllSketch::Serialize() const {
-  std::string out;
-  out.reserve(SerializedBytes());
-  AppendLE32(out, static_cast<uint32_t>(num_bitmaps_));
-  AppendLE32(out, static_cast<uint32_t>(bits_));
-  for (int8_t r : registers_) {
-    out.push_back(r < 0 ? static_cast<char>(0xff) : static_cast<char>(r));
-  }
-  return out;
-}
-
-StatusOr<HllSketch> HllSketch::Deserialize(const std::string& data) {
-  if (data.size() < 8) return Status::InvalidArgument("hll: short header");
-  const uint32_t m = LoadLE32(data.data());
-  const uint32_t bits = LoadLE32(data.data() + 4);
-  if (m < 16 || m > (1u << 16) || !IsPowerOfTwo(m) || bits < 4 ||
-      bits > 64) {
-    return Status::InvalidArgument("hll: bad parameters");
-  }
-  if (data.size() != 8 + m) {
-    return Status::InvalidArgument("hll: truncated payload");
-  }
-  HllSketch sketch(static_cast<int>(m), static_cast<int>(bits));
-  for (uint32_t i = 0; i < m; ++i) {
-    const uint8_t byte = static_cast<uint8_t>(data[8 + i]);
-    if (byte == 0xff) {
-      sketch.registers_[i] = -1;
-    } else if (byte < bits) {
-      sketch.registers_[i] = static_cast<int8_t>(byte);
-    } else {
-      return Status::InvalidArgument("hll: register out of range");
-    }
-  }
-  return sketch;
-}
-
 bool HllSketch::Empty() const {
   for (int8_t r : registers_) {
     if (r >= 0) return false;

@@ -9,7 +9,6 @@
 #define DHS_SKETCH_HYPERLOGLOG_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -44,9 +43,6 @@ class HllSketch : public CardinalityEstimator {
   int bits() const { return bits_; }
   std::vector<int> ObservablesM() const;
   void OfferM(int bitmap, int value);
-
-  std::string Serialize() const;
-  static StatusOr<HllSketch> Deserialize(const std::string& data);
 
   bool Empty() const;
 

@@ -68,45 +68,6 @@ std::vector<int> LogLogSketch::ObservablesM() const {
   return std::vector<int>(registers_.begin(), registers_.end());
 }
 
-std::string LogLogSketch::Serialize() const {
-  std::string out;
-  out.reserve(SerializedBytes());
-  AppendLE32(out, static_cast<uint32_t>(num_bitmaps_));
-  AppendLE32(out, static_cast<uint32_t>(bits_));
-  out.push_back(mode_ == Mode::kPlain ? 0 : 1);
-  for (int8_t r : registers_) {
-    out.push_back(r < 0 ? static_cast<char>(0xff) : static_cast<char>(r));
-  }
-  return out;
-}
-
-StatusOr<LogLogSketch> LogLogSketch::Deserialize(const std::string& data) {
-  if (data.size() < 9) return Status::InvalidArgument("loglog: short header");
-  const uint32_t m = LoadLE32(data.data());
-  const uint32_t bits = LoadLE32(data.data() + 4);
-  const uint8_t mode_byte = static_cast<uint8_t>(data[8]);
-  if (m < 2 || m > (1u << 16) || !IsPowerOfTwo(m) || bits < 4 || bits > 64 ||
-      mode_byte > 1) {
-    return Status::InvalidArgument("loglog: bad parameters");
-  }
-  if (data.size() != 9 + m) {
-    return Status::InvalidArgument("loglog: truncated payload");
-  }
-  LogLogSketch sketch(static_cast<int>(m), static_cast<int>(bits),
-                      mode_byte == 0 ? Mode::kPlain : Mode::kSuperTrunc);
-  for (uint32_t i = 0; i < m; ++i) {
-    const uint8_t byte = static_cast<uint8_t>(data[9 + i]);
-    if (byte == 0xff) {
-      sketch.registers_[i] = -1;
-    } else if (byte < bits) {
-      sketch.registers_[i] = static_cast<int8_t>(byte);
-    } else {
-      return Status::InvalidArgument("loglog: register out of range");
-    }
-  }
-  return sketch;
-}
-
 bool LogLogSketch::Empty() const {
   for (int8_t r : registers_) {
     if (r >= 0) return false;

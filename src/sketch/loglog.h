@@ -10,7 +10,6 @@
 #define DHS_SKETCH_LOGLOG_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -45,11 +44,6 @@ class LogLogSketch : public CardinalityEstimator {
 
   /// Direct register update (used by the convergecast baseline and tests).
   void OfferM(int bitmap, int value);
-
-  /// Flat serialization: header {m, bits, mode} then one byte per
-  /// register (0xff = empty).
-  std::string Serialize() const;
-  static StatusOr<LogLogSketch> Deserialize(const std::string& data);
 
   bool Empty() const;
 

@@ -77,49 +77,6 @@ std::vector<int> PcsaSketch::ObservablesM() const {
   return m;
 }
 
-std::string PcsaSketch::Serialize() const {
-  std::string out;
-  out.reserve(SerializedBytes());
-  AppendLE32(out, static_cast<uint32_t>(num_bitmaps_));
-  AppendLE32(out, static_cast<uint32_t>(bits_));
-  const int per_bitmap = (bits_ + 7) / 8;
-  for (uint64_t b : bitmaps_) {
-    for (int i = 0; i < per_bitmap; ++i) {
-      out.push_back(static_cast<char>(b >> (8 * i)));
-    }
-  }
-  return out;
-}
-
-StatusOr<PcsaSketch> PcsaSketch::Deserialize(const std::string& data) {
-  if (data.size() < 8) return Status::InvalidArgument("pcsa: short header");
-  const uint32_t m = LoadLE32(data.data());
-  const uint32_t bits = LoadLE32(data.data() + 4);
-  if (m < 1 || m > (1u << 16) || !IsPowerOfTwo(m) || bits < 4 || bits > 64) {
-    return Status::InvalidArgument("pcsa: bad parameters");
-  }
-  const size_t per_bitmap = (bits + 7) / 8;
-  if (data.size() != 8 + per_bitmap * m) {
-    return Status::InvalidArgument("pcsa: truncated payload");
-  }
-  PcsaSketch sketch(static_cast<int>(m), static_cast<int>(bits));
-  size_t off = 8;
-  for (uint32_t i = 0; i < m; ++i) {
-    uint64_t b = 0;
-    for (size_t j = 0; j < per_bitmap; ++j) {
-      b |= static_cast<uint64_t>(static_cast<uint8_t>(data[off++])) << (8 * j);
-    }
-    // Strict: padding bits beyond the bitmap width must be zero, so
-    // Deserialize(Serialize(s)) == s holds byte-for-byte both ways and
-    // TestBit's position < bits_ contract is never violated by wire data.
-    if (bits < 64 && (b >> bits) != 0) {
-      return Status::InvalidArgument("pcsa: stray bits beyond bitmap width");
-    }
-    sketch.bitmaps_[i] = b;
-  }
-  return sketch;
-}
-
 bool PcsaSketch::Empty() const {
   for (uint64_t b : bitmaps_) {
     if (b != 0) return false;

@@ -10,7 +10,6 @@
 #define DHS_SKETCH_PCSA_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -41,11 +40,6 @@ class PcsaSketch : public CardinalityEstimator {
 
   /// Per-bitmap leftmost-zero observables M^<i>.
   std::vector<int> ObservablesM() const;
-
-  /// Flat little-endian serialization: header {m, bits} then ceil(bits/8)
-  /// bytes per bitmap. Deserialization fails on malformed input.
-  std::string Serialize() const;
-  static StatusOr<PcsaSketch> Deserialize(const std::string& data);
 
   /// True iff no item has been added.
   bool Empty() const;

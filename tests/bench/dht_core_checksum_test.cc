@@ -1,9 +1,9 @@
-// P1's determinism witness as a test: bench_dht_core's own op loops
-// (bench/dht_core_ops.h), run at their default sizes, must reproduce
-// the checksums recorded in BENCH_dht_core.json. lookup and range_count
-// depend on the overlay, so they are pinned at 1,024 nodes; the other
-// three do not depend on the node count. A change that alters routing,
-// range counting, expiry or what the store holds moves one of them.
+// P1's determinism witness: the simulator-core op loops
+// (dht_core_ops.h) must reproduce the checksums the retired P1 bench
+// recorded. lookup and range_count depend on the overlay, so they are
+// pinned at 1,024 nodes; the other three do not depend on the node
+// count. A change that alters routing, range counting, expiry or what
+// the store holds moves one of them.
 
 #include "dht_core_ops.h"
 
@@ -18,7 +18,7 @@ namespace {
 
 TEST(DhtCoreChecksumTest, MatchesCommittedChecksums) {
   std::map<std::string, uint64_t> checksums;
-  for (const CoreResult& r : RunCoreOps(1024, CoreSizes())) {
+  for (const CoreResult& r : RunCoreOps(1024)) {
     checksums[r.op] = r.checksum;
   }
   EXPECT_EQ(checksums.at("lookup"), 1189866711330182394ull);

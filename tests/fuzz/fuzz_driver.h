@@ -14,12 +14,15 @@
 // inputs and a failure reproduces offline from the iteration number
 // alone.
 //
-// Iteration budget: DHS_FUZZ_ITERS env var (default 25000). CI smoke
-// jobs set a budget sized to ~30s per target; local runs can crank it.
+// Iteration budget: DHS_FUZZ_ITERS env var (default 25000 when unset or
+// empty). CI smoke jobs set a budget sized to ~30s per target; local
+// runs can crank it. Any value but a whole decimal number >= 1 prints
+// "fuzz driver: DHS_FUZZ_ITERS=value is not ..." to stderr and exits 2.
 
 #ifndef DHS_TESTS_FUZZ_FUZZ_DRIVER_H_
 #define DHS_TESTS_FUZZ_FUZZ_DRIVER_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,9 +40,20 @@ std::vector<std::string> FuzzSeedCorpus();
 int main() {
   uint64_t iters = 25000;
   // Single-threaded driver main; read before anything else runs.
-  if (const char* env = std::getenv("DHS_FUZZ_ITERS")) {  // NOLINT(concurrency-mt-unsafe)
-    iters = std::strtoull(env, nullptr, 10);
-    if (iters == 0) iters = 1;
+  const char* env = std::getenv("DHS_FUZZ_ITERS");  // NOLINT(concurrency-mt-unsafe)
+  if (env != nullptr && env[0] != '\0') {
+    // strtoull accepts a sign (and negates through the wrap), so only a
+    // leading digit is let through to it.
+    char* end = nullptr;
+    errno = 0;
+    iters = env[0] >= '0' && env[0] <= '9' ? std::strtoull(env, &end, 10) : 0;
+    if (end == nullptr || *end != '\0' || errno != 0 || iters == 0) {
+      std::fprintf(stderr,
+                   "fuzz driver: DHS_FUZZ_ITERS=%s is not a whole number "
+                   ">= 1\n",
+                   env);
+      return 2;
+    }
   }
   dhs::Rng rng(0xf0220915u);
   const std::vector<std::string> seeds = FuzzSeedCorpus();

@@ -104,40 +104,6 @@ TEST(LogLogSketchTest, ClearResets) {
   EXPECT_TRUE(sketch.Empty());
 }
 
-TEST(LogLogSketchTest, SerializeRoundTrip) {
-  Rng rng(4);
-  LogLogSketch sketch(128, 24, LogLogSketch::Mode::kSuperTrunc);
-  for (int i = 0; i < 5000; ++i) sketch.AddHash(rng.Next());
-  const std::string bytes = sketch.Serialize();
-  EXPECT_EQ(bytes.size(), sketch.SerializedBytes());
-  auto restored = LogLogSketch::Deserialize(bytes);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->Estimate(), sketch.Estimate());
-  EXPECT_EQ(restored->mode(), LogLogSketch::Mode::kSuperTrunc);
-}
-
-TEST(LogLogSketchTest, SerializePreservesEmptyRegisters) {
-  LogLogSketch sketch(4, 24);
-  sketch.OfferM(2, 7);
-  auto restored = LogLogSketch::Deserialize(sketch.Serialize());
-  ASSERT_TRUE(restored.ok());
-  const auto m = restored->ObservablesM();
-  EXPECT_EQ(m[0], -1);
-  EXPECT_EQ(m[2], 7);
-}
-
-TEST(LogLogSketchTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(LogLogSketch::Deserialize("").ok());
-  LogLogSketch sketch(16, 24);
-  std::string bytes = sketch.Serialize();
-  bytes.pop_back();
-  EXPECT_FALSE(LogLogSketch::Deserialize(bytes).ok());
-  // Register value beyond `bits` must be rejected.
-  std::string bad = sketch.Serialize();
-  bad[9] = 60;
-  EXPECT_FALSE(LogLogSketch::Deserialize(bad).ok());
-}
-
 TEST(LogLogSketchTest, SpaceIsOneBytePerRegister) {
   LogLogSketch sketch(512, 24);
   EXPECT_EQ(sketch.SerializedBytes(), 9u + 512u);

@@ -94,32 +94,6 @@ TEST(PcsaSketchTest, ClearResets) {
   EXPECT_EQ(sketch.Estimate(), 0.0);
 }
 
-TEST(PcsaSketchTest, SerializeRoundTrip) {
-  Rng rng(4);
-  PcsaSketch sketch(128, 24);
-  for (int i = 0; i < 5000; ++i) sketch.AddHash(rng.Next());
-  const std::string bytes = sketch.Serialize();
-  EXPECT_EQ(bytes.size(), sketch.SerializedBytes());
-  auto restored = PcsaSketch::Deserialize(bytes);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->Estimate(), sketch.Estimate());
-  EXPECT_EQ(restored->num_bitmaps(), 128);
-  EXPECT_EQ(restored->bits(), 24);
-}
-
-TEST(PcsaSketchTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(PcsaSketch::Deserialize("").ok());
-  EXPECT_FALSE(PcsaSketch::Deserialize("short").ok());
-  PcsaSketch sketch(16, 24);
-  std::string bytes = sketch.Serialize();
-  bytes.pop_back();
-  EXPECT_FALSE(PcsaSketch::Deserialize(bytes).ok());
-  // Corrupt m to a non-power-of-two.
-  std::string bad = sketch.Serialize();
-  bad[0] = 3;
-  EXPECT_FALSE(PcsaSketch::Deserialize(bad).ok());
-}
-
 TEST(PcsaSketchTest, SerializedBytesMatchesFormula) {
   PcsaSketch sketch(512, 24);
   // header 8 + 512 * ceil(24/8 = 3)

@@ -1,6 +1,6 @@
 // Cross-cutting property tests over all three sketch families:
-// merge algebra (commutative, associative, idempotent), union
-// monotonicity, and serialization robustness against corruption.
+// merge algebra (commutative, associative, idempotent) and union
+// monotonicity.
 
 #include <gtest/gtest.h>
 
@@ -149,62 +149,6 @@ INSTANTIATE_TEST_SUITE_P(AllSketches, SketchPropertyTest,
                                return "Hll";
                            }
                          });
-
-// Serialization corruption fuzzing: random byte flips must never crash;
-// every successful parse must produce a sketch with in-range state.
-TEST(SerializationFuzzTest, PcsaCorruptionIsSafe) {
-  Rng rng(10);
-  PcsaSketch sketch(32, 24);
-  for (int i = 0; i < 2000; ++i) sketch.AddHash(rng.Next());
-  const std::string bytes = sketch.Serialize();
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string corrupted = bytes;
-    const size_t pos = rng.UniformU64(corrupted.size());
-    corrupted[pos] = static_cast<char>(rng.Next());
-    if (rng.Bernoulli(0.3) && corrupted.size() > 1) {
-      corrupted.resize(rng.UniformU64(corrupted.size()));
-    }
-    auto parsed = PcsaSketch::Deserialize(corrupted);
-    if (parsed.ok()) {
-      EXPECT_GE(parsed->Estimate(), 0.0);
-    }
-  }
-}
-
-TEST(SerializationFuzzTest, LogLogCorruptionIsSafe) {
-  Rng rng(11);
-  LogLogSketch sketch(32, 24);
-  for (int i = 0; i < 2000; ++i) sketch.AddHash(rng.Next());
-  const std::string bytes = sketch.Serialize();
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string corrupted = bytes;
-    corrupted[rng.UniformU64(corrupted.size())] =
-        static_cast<char>(rng.Next());
-    auto parsed = LogLogSketch::Deserialize(corrupted);
-    if (parsed.ok()) {
-      for (int v : parsed->ObservablesM()) {
-        EXPECT_GE(v, -1);
-        EXPECT_LT(v, 24);
-      }
-    }
-  }
-}
-
-TEST(SerializationFuzzTest, HllCorruptionIsSafe) {
-  Rng rng(12);
-  HllSketch sketch(32, 24);
-  for (int i = 0; i < 2000; ++i) sketch.AddHash(rng.Next());
-  const std::string bytes = sketch.Serialize();
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string corrupted = bytes;
-    corrupted[rng.UniformU64(corrupted.size())] =
-        static_cast<char>(rng.Next());
-    auto parsed = HllSketch::Deserialize(corrupted);
-    if (parsed.ok()) {
-      EXPECT_GE(parsed->Estimate(), 0.0);
-    }
-  }
-}
 
 }  // namespace
 }  // namespace dhs
