@@ -20,11 +20,13 @@ namespace dhs {
 namespace bench {
 namespace {
 
-// Selectivity error of a B-bucket summary (built from `cells` with the
-// given algorithm) over random ranges, against the exact relation.
-double RangeError(const std::vector<VarBucket>& buckets,
+// Selectivity error of a B-bucket summary over random ranges, against
+// the exact relation. `estimate(lo_cell, hi_cell)` is the summary's
+// cardinality estimate over an inclusive range of base cells.
+template <typename RangeEstimate>
+double RangeError(const RangeEstimate& estimate,
                   const HistogramSpec& cell_spec, const Relation& relation,
-                  Rng& rng) {
+                  Rng rng) {
   StreamingStats error;
   for (int q = 0; q < 400; ++q) {
     const int64_t width =
@@ -35,14 +37,19 @@ double RangeError(const std::vector<VarBucket>& buckets,
     // Convert value range to cell-index range.
     const int lo_cell = cell_spec.BucketOf(lo);
     const int hi_cell = cell_spec.BucketOf(hi);
-    const double estimate =
-        EstimateRangeFromVarBuckets(buckets, lo_cell, hi_cell);
     const double truth = static_cast<double>(relation.CountValueRange(
         cell_spec.BucketBounds(lo_cell).first,
         cell_spec.BucketBounds(hi_cell).second));
-    if (truth > 0) error.Add(RelativeError(estimate, truth));
+    if (truth > 0) error.Add(RelativeError(estimate(lo_cell, hi_cell), truth));
   }
   return error.mean();
+}
+
+// The range estimator of a variable-width bucketization.
+auto VarBucketRanges(const std::vector<VarBucket>& buckets) {
+  return [&buckets](int lo_cell, int hi_cell) {
+    return EstimateRangeFromVarBuckets(buckets, lo_cell, hi_cell);
+  };
 }
 
 std::vector<VarBucket> EquiWidthPartition(const std::vector<double>& cells,
@@ -98,37 +105,18 @@ void Run() {
     auto compressed = BuildCompressedHistogram(cells, b);
     if (!maxdiff.ok() || !voptimal.ok() || !compressed.ok()) return;
     const auto equi = EquiWidthPartition(cells, b);
-    Rng qrng(100 + b);
-    Rng qrng2(100 + b);
-    Rng qrng3(100 + b);
-    Rng qrng4(100 + b);
-    // Compressed histograms use their own estimator; wrap it in the
-    // common error loop by converting through a lambda-compatible shim.
-    StreamingStats compressed_error;
-    for (int q = 0; q < 400; ++q) {
-      const int64_t width =
-          1 + static_cast<int64_t>(qrng4.UniformU64(200));
-      const int64_t lo = 1 + static_cast<int64_t>(qrng4.UniformU64(
-                                 static_cast<uint64_t>(1000 - width)));
-      const int64_t hi = lo + width - 1;
-      const int lo_cell = cell_spec.BucketOf(lo);
-      const int hi_cell = cell_spec.BucketOf(hi);
-      const double estimate =
-          EstimateRangeFromCompressed(*compressed, lo_cell, hi_cell);
-      const double truth = static_cast<double>(relation.CountValueRange(
-          cell_spec.BucketBounds(lo_cell).first,
-          cell_spec.BucketBounds(hi_cell).second));
-      if (truth > 0) compressed_error.Add(RelativeError(estimate, truth));
-    }
-    PrintRow({std::to_string(b),
-              FormatDouble(100 * RangeError(equi, cell_spec, relation, qrng),
-                           1),
-              FormatDouble(
-                  100 * RangeError(*maxdiff, cell_spec, relation, qrng2), 1),
-              FormatDouble(
-                  100 * RangeError(*voptimal, cell_spec, relation, qrng3),
-                  1),
-              FormatDouble(100 * compressed_error.mean(), 1)},
+    // Every column draws the same ranges: each gets its own Rng(100 + b).
+    auto error_pct = [&](const auto& estimate) {
+      return FormatDouble(
+          100 * RangeError(estimate, cell_spec, relation, Rng(100 + b)), 1);
+    };
+    PrintRow({std::to_string(b), error_pct(VarBucketRanges(equi)),
+              error_pct(VarBucketRanges(*maxdiff)),
+              error_pct(VarBucketRanges(*voptimal)),
+              error_pct([&](int lo_cell, int hi_cell) {
+                return EstimateRangeFromCompressed(*compressed, lo_cell,
+                                                   hi_cell);
+              })},
              14);
   }
   std::printf("(the DHS sweep is shared by all types: %d hops for the 200 "

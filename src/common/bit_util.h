@@ -19,11 +19,6 @@ constexpr int Log2Floor(uint64_t x) {
   return 63 - std::countl_zero(x);
 }
 
-/// ceil(log2(x)); Log2Ceil(1) == 0. Undefined for x == 0.
-constexpr int Log2Ceil(uint64_t x) {
-  return IsPowerOfTwo(x) ? Log2Floor(x) : Log2Floor(x) + 1;
-}
-
 /// The k low-order bits of x. LowBits(x, 64) == x; LowBits(x, 0) == 0.
 constexpr uint64_t LowBits(uint64_t x, int k) {
   if (k >= 64) return x;
@@ -31,15 +26,10 @@ constexpr uint64_t LowBits(uint64_t x, int k) {
   return x & ((uint64_t{1} << k) - 1);
 }
 
-/// The value of bit position k (0 = least significant) of x.
-constexpr int GetBit(uint64_t x, int k) {
-  return static_cast<int>((x >> k) & 1u);
-}
-
-// Endian-explicit byte codecs. All wire formats in src/sketch/ and
-// src/dht/ route through these (enforced by the serial-raw-bytes rule
-// in tools/analysis/dhs_analyze.py) so byte order is always spelled
-// out and never depends on host endianness or type-punning.
+// Little-endian byte codecs. Every wire format in src/dht/ routes
+// through these (enforced by the serial-raw-bytes rule in
+// tools/analysis/dhs_analyze.py), so byte order is always spelled out
+// and never depends on host endianness or type-punning.
 
 /// Appends x to out, least-significant byte first.
 inline void AppendLE16(std::string& out, uint16_t x) {
@@ -50,17 +40,6 @@ inline void AppendLE32(std::string& out, uint32_t x) {
 }
 inline void AppendLE64(std::string& out, uint64_t x) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(x >> (8 * i)));
-}
-
-/// Appends x to out, most-significant byte first.
-inline void AppendBE16(std::string& out, uint16_t x) {
-  for (int i = 1; i >= 0; --i) out.push_back(static_cast<char>(x >> (8 * i)));
-}
-inline void AppendBE32(std::string& out, uint32_t x) {
-  for (int i = 3; i >= 0; --i) out.push_back(static_cast<char>(x >> (8 * i)));
-}
-inline void AppendBE64(std::string& out, uint64_t x) {
-  for (int i = 7; i >= 0; --i) out.push_back(static_cast<char>(x >> (8 * i)));
 }
 
 /// Reads a little-endian integer from p (any alignment, any host).
@@ -77,23 +56,6 @@ constexpr uint32_t LoadLE32(const char* p) {
 constexpr uint64_t LoadLE64(const char* p) {
   uint64_t x = 0;
   for (int i = 7; i >= 0; --i) x = (x << 8) | static_cast<uint8_t>(p[i]);
-  return x;
-}
-
-/// Reads a big-endian integer from p (any alignment, any host).
-constexpr uint16_t LoadBE16(const char* p) {
-  uint16_t x = 0;
-  for (int i = 0; i < 2; ++i) x = (x << 8) | static_cast<uint8_t>(p[i]);
-  return x;
-}
-constexpr uint32_t LoadBE32(const char* p) {
-  uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) x = (x << 8) | static_cast<uint8_t>(p[i]);
-  return x;
-}
-constexpr uint64_t LoadBE64(const char* p) {
-  uint64_t x = 0;
-  for (int i = 0; i < 8; ++i) x = (x << 8) | static_cast<uint8_t>(p[i]);
   return x;
 }
 

@@ -58,12 +58,6 @@ uint64_t Rng::UniformU64(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-uint64_t Rng::UniformInRange(uint64_t lo, uint64_t hi) {
-  const uint64_t span = hi - lo + 1;
-  if (span == 0) return Next();  // full 64-bit range
-  return lo + UniformU64(span);
-}
-
 double Rng::UniformDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
@@ -73,7 +67,5 @@ bool Rng::Bernoulli(double p) {
   if (p >= 1.0) return true;
   return UniformDouble() < p;
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace dhs

@@ -38,17 +38,11 @@ class Rng {
   /// nearly-divisionless method with rejection, so it is exactly uniform.
   uint64_t UniformU64(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  uint64_t UniformInRange(uint64_t lo, uint64_t hi);
-
   /// Uniform double in [0, 1) with 53 bits of precision.
   double UniformDouble();
 
   /// Bernoulli trial with success probability p (clamped to [0, 1]).
   bool Bernoulli(double p);
-
-  /// Forks an independent generator; deterministic given this Rng's state.
-  Rng Fork();
 
  private:
   uint64_t s_[4];

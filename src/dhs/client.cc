@@ -250,12 +250,6 @@ Status DhsClient::StoreTuple(uint64_t origin_node, uint64_t metric_id,
   return Status::OK();
 }
 
-void DhsClient::MaybeAudit() const {
-  if (!config_.audit) return;
-  CHECK_OK(network_->AuditFull()) << "after a DHS operation";
-  CHECK_OK(AuditFull()) << "after a DHS operation";
-}
-
 StatusOr<DhsCostReport> DhsClient::Insert(uint64_t origin_node,
                                           uint64_t metric_id,
                                           uint64_t item_hash, Rng& rng) {
@@ -271,7 +265,6 @@ StatusOr<DhsCostReport> DhsClient::Insert(uint64_t origin_node,
   }
   Status s = StoreTuple(origin_node, metric_id, placement.rho,
                         {placement.vector_id}, rng, &cost);
-  MaybeAudit();
   FinishOp(span, kOpInsert, cost, s.ok());
   if (!s.ok()) return s;
   return cost;
@@ -304,7 +297,6 @@ StatusOr<DhsCostReport> DhsClient::InsertBatch(
           if (first_failure.ok()) first_failure = s;
         }
       });
-  MaybeAudit();
   const bool all_failed =
       !first_failure.ok() && cost.bit_groups_failed == groups;
   FinishOp(span, kOpInsertBatch, cost, !all_failed);
@@ -329,7 +321,7 @@ std::vector<int> DhsClient::ProbeNodeForMetric(uint64_t node,
   }
   auto decoded = DecodeVectorResponse(*response);
   CHECK_OK(decoded) << "transport returned a malformed probe response";
-  // The response-side charge (ProbeResponseBytes(v) == 8 + 2v) happened
+  // The response-side charge (8 + 2v payload bytes) happened
   // where the frame was served; mirror it into this op's cost report.
   cost->bytes += VectorResponsePayloadBytes(decoded->vector_ids.size());
   return std::move(decoded->vector_ids);
@@ -354,7 +346,7 @@ Status DhsClient::ProbeInterval(uint64_t origin_node, int bit,
   }
 
   // Initial random probe into the interval: a kProbeOpen frame routed
-  // via the DHT (ProbeRequestBytes == 12 accounted bytes per hop).
+  // via the DHT (kProbeOpenPayloadBytes == 12 accounted bytes per hop).
   const uint64_t target_key = mapping_.RandomIdIn(interval, rng);
   ProbeOpenFrame open;
   open.target_key = target_key;
@@ -447,7 +439,6 @@ StatusOr<DhsClient::MultiCountResult> DhsClient::CountMany(
   auto result = config_.estimator == DhsEstimator::kPcsa
                     ? CountManyPcsa(origin_node, metric_ids, rng, options)
                     : CountManySll(origin_node, metric_ids, rng, options);
-  MaybeAudit();
   if (result.ok()) {
     if (span.active()) {
       span.Arg(TraceArg::Bool("gave_up", result->gave_up));

@@ -197,15 +197,11 @@ class DhsClient {
 
  private:
   // The front door closes its insert batches out with this client's
-  // audit, root-span annotations and op metrics.
+  // root-span annotations and op metrics.
   friend class DhsFrontDoor;
 
   DhsClient(DhtNetwork* network, const DhsConfig& config,
             std::shared_ptr<Transport> transport);
-
-  /// Runs the full invariant audit (network + DHS placement) when
-  /// config_.audit is set; CHECK-fatal on any violation.
-  void MaybeAudit() const;
 
   /// Routes an encoded frame with the configured retry policy:
   /// re-issues the frame on transient failures (Unavailable /

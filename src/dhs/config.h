@@ -3,7 +3,6 @@
 #ifndef DHS_DHS_CONFIG_H_
 #define DHS_DHS_CONFIG_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "common/status.h"
@@ -83,30 +82,11 @@ struct DhsConfig {
   /// dhs_frontier_cache_{hits,misses}_total when metrics are attached.
   bool frontier_cache = false;
 
-  /// Debug-audit mode: when set, the client runs the full invariant
-  /// audit (DhtNetwork::CheckInvariants + DhsClient::AuditFull, both
-  /// CHECK-fatal on violation) after every mutating or counting
-  /// operation. Expensive — O(total records) per operation — so meant
-  /// for tests and correctness experiments, not benchmarks.
-  bool audit = false;
-
   /// Truncation parameter theta0 of super-LogLog.
   double theta0 = 0.7;
 
   /// Checks parameter consistency against the overlay's ID space.
   [[nodiscard]] Status Validate(const IdSpace& space) const;
-
-  /// Wire size of one DHS tuple <metric_id, vector_id, bit, time_out>.
-  /// The paper's accounting (§5.1): 8 + 16 + 8 + 32 bits = 8 bytes.
-  size_t TupleBytes() const { return 8; }
-
-  /// Wire size of a counting probe request (metric id + bit + flags).
-  size_t ProbeRequestBytes() const { return 12; }
-
-  /// Wire size of a probe response listing `vectors_reported` vector IDs.
-  size_t ProbeResponseBytes(size_t vectors_reported) const {
-    return 8 + 2 * vectors_reported;
-  }
 
   /// Number of vector-index bits c = log2(m). The vector is selected from
   /// the hash bits *above* the k low-order bits (h >> k mod m), so the

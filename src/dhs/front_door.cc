@@ -68,7 +68,7 @@ StatusOr<CompiledInsertBatch> DhsFrontDoor::CompileInsertBatch(
         op.origin = origin_node;
         op.key = client_.mapping().RandomIdIn(*interval, rng);
         op.interval = *interval;
-        op.payload_bytes = config.TupleBytes() * vectors.size();
+        op.payload_bytes = PutPayloadBytes(vectors.size());
         op.put_keys.reserve(vectors.size());
         for (int vector_id : vectors) {
           op.put_keys.push_back(MakeDhsKey(metric_id, bit, vector_id));
@@ -137,7 +137,6 @@ StatusOr<DhsCostReport> DhsFrontDoor::InsertBatch(
   const Status folded =
       FoldInsertOutcomes(*compiled, outcomes.data(), outcomes.size(), &cost);
 
-  client_.MaybeAudit();
   client_.FinishOp(span, DhsClient::kOpInsertBatch, cost, folded.ok());
   if (!folded.ok()) return folded;
   return cost;

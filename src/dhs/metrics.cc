@@ -13,13 +13,4 @@ uint64_t SubMetric(uint64_t base_metric, uint64_t index) {
   return SplitMix64(base_metric * 0x9e3779b97f4a7c15ULL + index);
 }
 
-std::string HistogramMetricName(std::string_view relation,
-                                std::string_view attribute) {
-  std::string name = "histogram:";
-  name.append(relation);
-  name.push_back('.');
-  name.append(attribute);
-  return name;
-}
-
 }  // namespace dhs

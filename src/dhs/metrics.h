@@ -13,7 +13,6 @@
 #define DHS_DHS_METRICS_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace dhs {
@@ -28,10 +27,6 @@ uint64_t MetricFromName(std::string_view name);
 /// derivation is a bijective mix, so collisions are no more likely than
 /// for independently hashed names.
 uint64_t SubMetric(uint64_t base_metric, uint64_t index);
-
-/// Conventional name for a histogram over relation.attribute.
-std::string HistogramMetricName(std::string_view relation,
-                                std::string_view attribute);
 
 }  // namespace dhs
 

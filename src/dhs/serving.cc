@@ -25,22 +25,12 @@ StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
 DhsServing::DhsServing(DhsFrontDoor* door, DhsClient* client)
     : door_(door), client_(client) {}
 
-void DhsServing::MaybeAttachMetrics() {
-  MetricsRegistry* registry = network()->metrics();
-  if (registry == metrics_attached_) return;
-  metrics_.Attach(registry, network()->GeometryName(),
-                  DhsEstimatorName(config().estimator));
-  metrics_attached_ = registry;
-}
-
 uint64_t DhsServing::SubmitCount(uint64_t origin_node,
                                  std::vector<uint64_t> metric_ids) {
   const uint64_t ticket = next_ticket_++;
   pending_counts_.push_back(
       PendingCount{ticket, origin_node, std::move(metric_ids)});
   ++stats_.count_requests;
-  MaybeAttachMetrics();
-  metrics_.RecordCountRequests(1);
   return ticket;
 }
 
@@ -51,8 +41,6 @@ uint64_t DhsServing::SubmitInsertBatch(uint64_t origin_node,
   pending_inserts_.push_back(
       PendingInsert{ticket, origin_node, metric_id, std::move(item_hashes)});
   ++stats_.insert_requests;
-  MaybeAttachMetrics();
-  metrics_.RecordInsertRequests(1);
   return ticket;
 }
 
@@ -60,7 +48,6 @@ Status DhsServing::Flush(Rng& rng) {
   if (pending_counts_.empty() && pending_inserts_.empty()) {
     return Status::OK();
   }
-  MaybeAttachMetrics();
   ++stats_.flushes;
   ScopedSpan span(network()->tracer(), "serving_flush");
   if (span.active()) {
@@ -85,13 +72,11 @@ void DhsServing::FlushInserts(Rng& rng) {
     wave.metric_id = p.metric_id;
     wave.hashes = p.hashes;
     wave_log_.push_back(std::move(wave));
-    metrics_.RecordInsertInvalidation();
     auto result =
         door_ != nullptr
             ? door_->InsertBatch(p.origin, p.metric_id, p.hashes, rng)
             : client_->InsertBatch(p.origin, p.metric_id, p.hashes, rng);
     ++stats_.insert_waves;
-    metrics_.RecordInsertWave();
     insert_results_.emplace(p.ticket, std::move(result));
   }
 }
@@ -127,8 +112,6 @@ void DhsServing::RunCountWave(const std::vector<size_t>& group, Rng& rng) {
   auto result = client_->CountMany(head.origin, head.metric_ids, rng);
   ++stats_.count_waves;
   stats_.coalesced += group.size() - 1;
-  metrics_.RecordCountWave();
-  metrics_.RecordCoalesced(group.size() - 1);
 
   if (result.ok()) {
     ObserveCountWave(head, result.value());
@@ -167,7 +150,6 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
       wave.waiters = 0;
       wave_log_.push_back(std::move(wave));
     }
-    metrics_.RecordFaultInvalidation(head.metric_ids.size());
   }
 }
 
@@ -213,7 +195,6 @@ StatusOr<DhsCostReport> DhsServing::InsertBatch(
 }
 
 void DhsServing::InvalidateMetric(uint64_t metric_id) {
-  MaybeAttachMetrics();
   client_->InvalidateFrontier(metric_id);
   ++stats_.invalidations;
   ServingWave wave;
@@ -221,7 +202,6 @@ void DhsServing::InvalidateMetric(uint64_t metric_id) {
   wave.metric_id = metric_id;
   wave.waiters = 0;
   wave_log_.push_back(std::move(wave));
-  metrics_.RecordSignalInvalidation();
 }
 
 }  // namespace dhs

@@ -36,7 +36,6 @@
 #include "dhs/client.h"
 #include "dhs/config.h"
 #include "dhs/front_door.h"
-#include "obs/serving_metrics.h"
 
 namespace dhs {
 
@@ -153,9 +152,6 @@ class DhsServing {
 
   DhsFrontDoor* door_;  // null for the sequential backend
   DhsClient* client_;   // config, network, mapping and frontier cache
-  ServingMetrics metrics_;
-  MetricsRegistry* metrics_attached_ = nullptr;
-  void MaybeAttachMetrics();
 
   uint64_t next_ticket_ = 1;
   std::vector<PendingCount> pending_counts_;

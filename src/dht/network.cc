@@ -273,7 +273,7 @@ StatusOr<LookupResult> DhtNetwork::Lookup(uint64_t from_node, uint64_t key,
   LookupResult result;
   // Only the error paths above mutate membership, so `origin` is intact.
   size_t cur_idx = static_cast<size_t>(origin - ring_.begin());
-  for (int step = 0; step <= config_.max_route_hops; ++step) {
+  for (int step = 0; step <= kMaxRouteHops; ++step) {
     const size_t next_idx = NextHopIndex(cur_idx, ring_[cur_idx], key);
     if (next_idx == cur_idx) {
       result.node = ring_[cur_idx];
@@ -466,7 +466,5 @@ Status DhtNetwork::AuditFull() const {
 
   return AuditDerivedState();
 }
-
-void DhtNetwork::CheckInvariants() const { DCHECK_OK(AuditFull()); }
 
 }  // namespace dhs

@@ -59,11 +59,11 @@ struct OverlayConfig {
 
   /// Node-ID derivation for AddNodeFromName: "md4" (the paper) or "mix".
   std::string hasher = "md4";
-
-  /// Safety cap on routing path length (a converged overlay never gets
-  /// close to this; it guards against bugs).
-  int max_route_hops = 256;
 };
+
+/// Safety cap on routing path length (a converged overlay never gets
+/// close to this; it guards against bugs).
+inline constexpr int kMaxRouteHops = 256;
 
 /// Backwards-compatible alias: the Chord overlay was the first
 /// implementation and most call sites configure it under this name.
@@ -282,10 +282,6 @@ class DhtNetwork : private ThreadHostile {
   /// cached routing entries). Returns OK or Internal naming the first
   /// violated invariant.
   [[nodiscard]] Status AuditFull() const;
-
-  /// Debug-only wrapper: CHECKs AuditFull() (via DCHECK_OK, compiled out
-  /// under NDEBUG). Call from tests and audit-enabled experiment loops.
-  void CheckInvariants() const;
 
  protected:
   using NodeMap = std::map<uint64_t, NodeStore>;

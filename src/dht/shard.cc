@@ -132,7 +132,7 @@ void ShardedNetwork::RunOp(OpRun& run, size_t origin_idx) {
   size_t cur = origin_idx;
   int hops = 0;
   for (;; ++hops) {
-    if (hops > net_->config_.max_route_hops) {
+    if (hops > kMaxRouteHops) {
       o.status = Status::Internal("routing did not converge (cycle?)");
       return;
     }

@@ -57,8 +57,6 @@ struct NodeLoad {
   uint64_t served = 0;   // messages terminating at this node
   uint64_t stores = 0;   // store operations served
   uint64_t probes = 0;   // DHS probe requests served
-
-  uint64_t TotalAccesses() const { return routed + served; }
 };
 
 }  // namespace dhs

@@ -1,11 +1,12 @@
 // Binary wire format for every DHS protocol message.
 //
-// Until this layer existed, DHS messages were in-process function calls
-// whose sizes were *accounted* from the paper's §5.1 formulas
-// (config.h: TupleBytes / ProbeRequestBytes / ProbeResponseBytes). Here
-// each message becomes a real encoded frame, and the transports
-// (transport.h) derive their MessageStats charges from the encoded
-// bytes — measured, not estimated.
+// The paper accounts DHS message sizes with its §5.1 formulas: 8 bytes
+// per tuple, 12 per probe request and 8 + 2v per probe response listing
+// v vectors. Here each message is a real encoded frame whose payload
+// has exactly those sizes (PutPayloadBytes, kProbeOpenPayloadBytes,
+// VectorResponsePayloadBytes), and the transports (transport.h) derive
+// their MessageStats charges from the encoded bytes — measured, not
+// estimated.
 //
 // Frame layout (all integers little-endian, via common/bit_util.h — the
 // dhs-analyze serialization checker forbids memcpy/reinterpret_cast
@@ -30,10 +31,10 @@
 // Per-type bodies (sizes in bytes):
 //
 //   type             envelope                          payload
-//   kProbeOpen   1   -                                 target_key 8 | bit 2 | reserved 2   (=12, ProbeRequestBytes)
+//   kProbeOpen   1   -                                 target_key 8 | bit 2 | reserved 2   (=12, kProbeOpenPayloadBytes)
 //   kMetricQuery 2   metric 8 | bit 1                  -                                   (=0; rides on the walk)
-//   kVectorResp  3   -                                 metric 8 | vector 2 x v             (=8+2v, ProbeResponseBytes)
-//   kPut         4   dst_key 8 | metric 8 | expiry 8   tuple 8 x n                         (=8n, TupleBytes x n)
+//   kVectorResp  3   -                                 metric 8 | vector 2 x v             (=8+2v, VectorResponsePayloadBytes)
+//   kPut         4   dst_key 8 | metric 8 | expiry 8   tuple 8 x n                         (=8n, PutPayloadBytes)
 //   kAck         5   code 1 | node 8 | hops 2          -                                   (=0; acks ride for free, §5.2)
 //
 // These five are every message the protocol sends: the §3.2 insertion
@@ -120,14 +121,15 @@ StatusOr<uint64_t> RoutedDstKey(std::string_view wire);
 // kProbeOpen — opens a probe walk (Alg. 1): routed toward target_key,
 // the walk then forwards it along ProbeCandidates. Deliberately carries
 // no metric list: per-metric reads are separate kMetricQuery exchanges,
-// which is how a multi-metric count stays at ProbeRequestBytes()==12
-// per hop (one walk, many queries).
+// which is how a multi-metric count stays at kProbeOpenPayloadBytes
+// == 12 per hop (one walk, many queries).
 
 struct ProbeOpenFrame {
   uint64_t target_key = 0;
   int bit = 0;  // [0, 255] (sketch bit index; fits IndexBits+RhoBits)
 };
-/// Payload bytes of a probe-open frame (== config ProbeRequestBytes()).
+/// Payload bytes of a probe-open frame: the paper's 12-byte probe
+/// request (§5.1).
 inline constexpr size_t kProbeOpenPayloadBytes = 12;
 std::string EncodeProbeOpen(const ProbeOpenFrame& frame);
 StatusOr<ProbeOpenFrame> DecodeProbeOpen(std::string_view wire);
@@ -137,8 +139,9 @@ StatusOr<ProbeOpenFrame> DecodeProbeOpen(std::string_view wire);
 // a probe. The query rides on an already-open walk (its addressing is
 // all envelope — the §5.1 request cost is the 12-byte probe-open that
 // reached the node); the response is the paper's probe response at
-// exactly ProbeResponseBytes(v) == 8 + 2v payload bytes: the metric id
-// echoed plus one 16-bit id per vector holding the queried bit.
+// exactly VectorResponsePayloadBytes(v) == 8 + 2v payload bytes: the
+// metric id echoed plus one 16-bit id per vector holding the queried
+// bit.
 
 struct MetricQueryFrame {
   uint64_t metric_id = 0;
@@ -152,8 +155,8 @@ struct VectorResponseFrame {
   uint64_t metric_id = 0;
   std::vector<int> vector_ids;  // each in [0, 65535], strictly ascending
 };
-/// Payload bytes of a response carrying v vector ids
-/// (== config ProbeResponseBytes(v)).
+/// Payload bytes of a response carrying v vector ids: the paper's
+/// 8 + 2v (§5.1).
 inline size_t VectorResponsePayloadBytes(size_t v) { return 8 + 2 * v; }
 std::string EncodeVectorResponse(const VectorResponseFrame& frame);
 StatusOr<VectorResponseFrame> DecodeVectorResponse(std::string_view wire);
@@ -161,7 +164,7 @@ StatusOr<VectorResponseFrame> DecodeVectorResponse(std::string_view wire);
 // ---------------------------------------------------------------------------
 // kPut — one insertion group: every tuple of one (metric, bit) at one
 // routed key (client StoreTuple / front-door insert batch). Payload is
-// n paper tuples of TupleBytes()==8 each.
+// n paper tuples of 8 bytes each (§5.1: 8 + 16 + 8 + 32 bits).
 
 struct PutFrame {
   uint64_t dst_key = 0;
@@ -176,7 +179,7 @@ struct PutFrame {
   std::vector<StoreKey> keys;
 };
 inline constexpr size_t kPutEnvelopeBytes = 24;
-/// Payload bytes of a put carrying n tuples (== n * config TupleBytes()).
+/// Payload bytes of a put carrying n tuples of 8 bytes (§5.1).
 inline size_t PutPayloadBytes(size_t n_tuples) { return 8 * n_tuples; }
 std::string EncodePut(const PutFrame& frame);
 StatusOr<PutFrame> DecodePut(std::string_view wire);

@@ -16,8 +16,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/bit_util.h"
-
 namespace dhs {
 
 /// Maps items to pseudo-uniform 64-bit values; the DHT/DHS layers truncate
@@ -33,14 +31,6 @@ class UniformHasher {
   /// Hash of a 64-bit item identifier. The default, which Md4Hasher
   /// uses, hashes the 8 little-endian bytes of `value`.
   virtual uint64_t HashU64(uint64_t value) const;
-
-  /// Hash truncated to the low `bits` bits, i.e. an ID in [0, 2^bits).
-  uint64_t HashToBits(std::string_view data, int bits) const {
-    return LowBits(Hash(data), bits);
-  }
-  uint64_t HashU64ToBits(uint64_t value, int bits) const {
-    return LowBits(HashU64(value), bits);
-  }
 };
 
 /// MD4-based hasher (RFC 1320), as used in the paper's evaluation.

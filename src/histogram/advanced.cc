@@ -234,22 +234,4 @@ double EstimateRangeFromVarBuckets(const std::vector<VarBucket>& buckets,
   return total;
 }
 
-StatusOr<AdvancedHistogramResult> BuildAdvancedFromDhs(
-    DhsHistogram& base_histogram, AdvancedHistogramKind kind,
-    int num_buckets, uint64_t origin_node, Rng& rng) {
-  auto reconstruction = base_histogram.Reconstruct(origin_node, rng);
-  if (!reconstruction.ok()) return reconstruction.status();
-
-  AdvancedHistogramResult result;
-  result.base_cells = reconstruction->buckets;
-  result.cost = reconstruction->cost;
-  auto buckets =
-      kind == AdvancedHistogramKind::kMaxDiff
-          ? BuildMaxDiffHistogram(result.base_cells, num_buckets)
-          : BuildVOptimalHistogram(result.base_cells, num_buckets);
-  if (!buckets.ok()) return buckets.status();
-  result.buckets = std::move(buckets.value());
-  return result;
-}
-
 }  // namespace dhs

@@ -2,21 +2,19 @@
 // v-optimal and maxdiff histograms as work in progress on top of DHS.
 // This module implements the two classic bucketization algorithms
 // (Poosala/Ioannidis SIGMOD '96 family) over per-value frequency
-// vectors, plus the two-phase DHS realization: reconstruct a
-// fine-grained equi-width histogram from the DHS (bucket boundaries must
-// be fixed network-wide, §4.3), then re-bucketize the estimates locally
-// into a v-optimal or maxdiff histogram. The expensive distributed step
-// stays bucket-count-independent; the re-bucketization is free and
-// local.
+// vectors. Over DHS they run in two phases: DhsHistogram::Reconstruct
+// recovers a fine-grained equi-width histogram (bucket boundaries must
+// be fixed network-wide, §4.3), then these functions re-bucketize the
+// estimates locally into a v-optimal or maxdiff histogram. The
+// expensive distributed step stays bucket-count-independent; the
+// re-bucketization is free and local.
 
 #ifndef DHS_HISTOGRAM_ADVANCED_H_
 #define DHS_HISTOGRAM_ADVANCED_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
-#include "histogram/dhs_histogram.h"
 
 namespace dhs {
 
@@ -76,21 +74,6 @@ double EstimateRangeFromCompressed(const CompressedHistogram& histogram,
 /// variable-width histogram, uniform within buckets.
 double EstimateRangeFromVarBuckets(const std::vector<VarBucket>& buckets,
                                    int lo_index, int hi_index);
-
-/// Two-phase distributed construction: reconstructs `base_cells`
-/// equi-width cells from a DhsHistogram-compatible layout, then
-/// re-bucketizes into `num_buckets` buckets with the chosen algorithm.
-enum class AdvancedHistogramKind { kMaxDiff, kVOptimal };
-
-struct AdvancedHistogramResult {
-  std::vector<VarBucket> buckets;   // indices refer to base cells
-  std::vector<double> base_cells;   // the reconstructed fine grid
-  DhsCostReport cost;               // the (shared) DHS sweep cost
-};
-
-[[nodiscard]] StatusOr<AdvancedHistogramResult> BuildAdvancedFromDhs(
-    DhsHistogram& base_histogram, AdvancedHistogramKind kind,
-    int num_buckets, uint64_t origin_node, Rng& rng);
 
 }  // namespace dhs
 

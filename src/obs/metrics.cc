@@ -98,11 +98,6 @@ Counter* MetricsRegistry::GetCounter(std::string_view name,
   return &Intern(name, labels, Kind::kCounter, {})->counter;
 }
 
-Gauge* MetricsRegistry::GetGauge(std::string_view name,
-                                 const MetricLabels& labels) {
-  return &Intern(name, labels, Kind::kGauge, {})->gauge;
-}
-
 Histogram* MetricsRegistry::GetHistogram(std::string_view name,
                                          std::vector<double> upper_bounds,
                                          const MetricLabels& labels) {
@@ -123,10 +118,6 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
       case Kind::kCounter:
         os << "{\"type\":\"counter\",\"value\":" << series.counter.value()
            << "}";
-        break;
-      case Kind::kGauge:
-        os << "{\"type\":\"gauge\",\"value\":"
-           << RenderDouble(series.gauge.value()) << "}";
         break;
       case Kind::kHistogram: {
         const Histogram& h = *series.histogram;

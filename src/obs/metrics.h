@@ -2,7 +2,7 @@
 // counter side; obs/trace.h is the per-operation side).
 //
 // A MetricsRegistry holds named instruments — monotonically increasing
-// counters, last-value gauges, and fixed-bucket histograms — each
+// counters and fixed-bucket histograms — each
 // distinguished by a sorted label set ({geometry=chord, op=count,
 // estimator=sll}). Instruments live for the registry's lifetime: a
 // Get* call interns the (name, labels) series and returns a stable
@@ -54,16 +54,6 @@ class Counter {
   uint64_t value_ = 0;
 };
 
-/// Last-written value.
-class Gauge {
- public:
-  void Set(double value) { value_ = value; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
 /// Fixed-bucket histogram: cumulative-style observation counts per
 /// upper bound plus an implicit +Inf bucket, with count and sum.
 class Histogram {
@@ -100,7 +90,6 @@ class MetricsRegistry : private ThreadHostile {
   /// same (name, labels) series was interned as a different instrument
   /// type.
   Counter* GetCounter(std::string_view name, const MetricLabels& labels = {});
-  Gauge* GetGauge(std::string_view name, const MetricLabels& labels = {});
   /// `upper_bounds` only applies on first intern; later calls return
   /// the existing histogram regardless.
   Histogram* GetHistogram(std::string_view name,
@@ -115,14 +104,13 @@ class MetricsRegistry : private ThreadHostile {
   void WriteJson(std::ostream& os) const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
 
   struct Series {
     Kind kind;
     // Exactly one is populated, per kind. unique_ptr-free: map nodes
     // are stable, and the variants are small.
     Counter counter;
-    Gauge gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

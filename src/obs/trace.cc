@@ -10,9 +10,7 @@
 namespace dhs {
 namespace {
 
-/// Renders an unsigned/signed integer or double to the shortest token
-/// that round-trips. Doubles use %.17g, which is lossless for IEEE 754
-/// binary64 and produces the same digits on every libc we build with.
+/// Renders an unsigned/signed integer to its decimal token.
 std::string RenderU64(uint64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
@@ -22,12 +20,6 @@ std::string RenderU64(uint64_t value) {
 std::string RenderI64(int64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-  return buf;
-}
-
-std::string RenderF64(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
 }
 
@@ -85,10 +77,6 @@ TraceArg TraceArg::U64(std::string_view key, uint64_t value) {
 
 TraceArg TraceArg::I64(std::string_view key, int64_t value) {
   return TraceArg{std::string(key), RenderI64(value), false};
-}
-
-TraceArg TraceArg::F64(std::string_view key, double value) {
-  return TraceArg{std::string(key), RenderF64(value), false};
 }
 
 TraceArg TraceArg::Str(std::string_view key, std::string_view value) {

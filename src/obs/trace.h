@@ -59,7 +59,6 @@ struct TraceArg {
 
   static TraceArg U64(std::string_view key, uint64_t value);
   static TraceArg I64(std::string_view key, int64_t value);
-  static TraceArg F64(std::string_view key, double value);
   static TraceArg Str(std::string_view key, std::string_view value);
   static TraceArg Bool(std::string_view key, bool value);
 };

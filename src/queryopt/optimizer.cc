@@ -87,74 +87,6 @@ StatusOr<JoinPlan> JoinOptimizer::Worst() const {
   });
 }
 
-StatusOr<BushyPlan> JoinOptimizer::BestBushy() const {
-  const size_t n = query_->NumRelations();
-  if (n == 0) return Status::FailedPrecondition("empty query");
-  if (n > 14) {
-    return Status::InvalidArgument("bushy DP supports at most 14 relations");
-  }
-  const uint32_t full = (1u << n) - 1;
-
-  struct Entry {
-    bool valid = false;
-    double cost = 0.0;         // shipped bytes to materialize this subset
-    double tuples = 0.0;       // estimated cardinality of the subset join
-    double tuple_bytes = 0.0;  // width of its tuples
-    std::vector<double> buckets;
-    std::string expression;
-  };
-  std::vector<Entry> table(full + 1);
-
-  for (size_t i = 0; i < n; ++i) {
-    Entry& entry = table[1u << i];
-    const JoinInput& input = query_->inputs[i];
-    entry.valid = true;
-    entry.cost = 0.0;  // base relations are shipped by the join step
-    entry.tuples = input.Cardinality();
-    entry.tuple_bytes = static_cast<double>(input.tuple_bytes);
-    entry.buckets = input.stats.buckets;
-    entry.expression = input.name;
-  }
-
-  const HistogramSpec& spec = query_->inputs.front().stats.spec;
-  for (uint32_t subset = 1; subset <= full; ++subset) {
-    if ((subset & (subset - 1)) == 0) continue;  // singletons done
-    Entry& entry = table[subset];
-    // Enumerate proper splits; visit each unordered pair once by
-    // requiring the split to contain the subset's lowest set bit.
-    const uint32_t low_bit = subset & (~subset + 1);
-    for (uint32_t left = (subset - 1) & subset; left > 0;
-         left = (left - 1) & subset) {
-      if ((left & low_bit) == 0) continue;
-      const uint32_t right = subset ^ left;
-      const Entry& a = table[left];
-      const Entry& b = table[right];
-      if (!a.valid || !b.valid) continue;
-      const double ship =
-          a.tuples * a.tuple_bytes + b.tuples * b.tuple_bytes;
-      const double cost = a.cost + b.cost + ship;
-      if (!entry.valid || cost < entry.cost) {
-        entry.valid = true;
-        entry.cost = cost;
-        entry.tuple_bytes = a.tuple_bytes + b.tuple_bytes;
-        const AttributeStats joined = ComposeJoin(
-            AttributeStats{spec, a.buckets}, AttributeStats{spec, b.buckets});
-        entry.buckets = joined.buckets;
-        entry.tuples = joined.TotalCardinality();
-        entry.expression = "(" + a.expression + " ⋈ " + b.expression + ")";
-      }
-    }
-  }
-
-  const Entry& root = table[full];
-  if (!root.valid) return Status::Internal("bushy DP failed");
-  BushyPlan plan;
-  plan.expression = n == 1 ? root.expression : root.expression;
-  plan.result_tuples = root.tuples;
-  plan.transfer_bytes = root.cost;
-  return plan;
-}
-
 StatusOr<double> JoinOptimizer::AverageTransfer() const {
   const size_t n = query_->NumRelations();
   if (n == 0) return Status::FailedPrecondition("empty query");

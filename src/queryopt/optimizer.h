@@ -27,13 +27,6 @@ struct JoinPlan {
   std::string OrderString(const JoinQuery& query) const;
 };
 
-/// A general (bushy) plan produced by the subset-DP optimizer.
-struct BushyPlan {
-  std::string expression;       // e.g. "((A ⋈ B) ⋈ (C ⋈ D))"
-  double result_tuples = 0.0;
-  double transfer_bytes = 0.0;
-};
-
 /// Enumerates left-deep plans for a JoinQuery.
 class JoinOptimizer {
  public:
@@ -48,12 +41,6 @@ class JoinOptimizer {
 
   /// Most expensive left-deep plan — the "pessimal optimizer" bound.
   [[nodiscard]] StatusOr<JoinPlan> Worst() const;
-
-  /// Cheapest plan over ALL join trees (bushy included), by dynamic
-  /// programming over relation subsets (Selinger-style, exact).
-  /// O(3^n) time; intended for n <= ~14 relations. Never returns a plan
-  /// costlier than Best().
-  [[nodiscard]] StatusOr<BushyPlan> BestBushy() const;
 
   /// Average transfer over all left-deep orders — a model of an
   /// optimizer-less engine that picks an arbitrary order.

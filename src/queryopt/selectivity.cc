@@ -34,18 +34,6 @@ double BucketDistinctValues(const HistogramSpec& spec, int i) {
 
 }  // namespace
 
-double EstimateEquiJoinSize(const AttributeStats& a,
-                            const AttributeStats& b) {
-  CHECK(SpecsMatch(a.spec, b.spec)) << "joining misaligned histograms";
-  double total = 0.0;
-  for (int i = 0; i < a.spec.num_buckets(); ++i) {
-    total += a.buckets[static_cast<size_t>(i)] *
-             b.buckets[static_cast<size_t>(i)] /
-             BucketDistinctValues(a.spec, i);
-  }
-  return total;
-}
-
 AttributeStats ComposeJoin(const AttributeStats& a,
                            const AttributeStats& b) {
   CHECK(SpecsMatch(a.spec, b.spec)) << "joining misaligned histograms";

@@ -27,15 +27,12 @@ struct AttributeStats {
 double EstimateRangeSelectivity(const AttributeStats& stats, int64_t lo,
                                 int64_t hi);
 
-/// Estimated size (tuples) of the equi-join of two relations on the
-/// histogram attribute. Per-bucket model with the uniform-spread
-/// assumption: |R ⋈ S|_b = r_b * s_b / W_b, where W_b is the number of
-/// distinct values the bucket can hold. Requires identical specs.
-double EstimateEquiJoinSize(const AttributeStats& a,
-                            const AttributeStats& b);
-
-/// Per-bucket join composition: returns the histogram of R ⋈ S so that
-/// multi-way joins can be estimated by folding. Requires identical specs.
+/// Per-bucket join composition: returns the histogram of R ⋈ S on the
+/// histogram attribute, so that multi-way joins can be estimated by
+/// folding and |R ⋈ S| is its TotalCardinality(). Per-bucket model with
+/// the uniform-spread assumption: |R ⋈ S|_b = r_b * s_b / W_b, where W_b
+/// is the number of distinct values the bucket can hold. Requires
+/// identical specs.
 AttributeStats ComposeJoin(const AttributeStats& a, const AttributeStats& b);
 
 }  // namespace dhs

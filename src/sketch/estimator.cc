@@ -9,8 +9,7 @@
 
 namespace dhs {
 
-double PcsaEstimateFromM(const std::vector<int>& leftmost_zero,
-                         bool bias_correction) {
+double PcsaEstimateFromM(const std::vector<int>& leftmost_zero) {
   CHECK(!leftmost_zero.empty());
   // Every bitmap has its lowest bit clear: the set is (almost surely)
   // empty. The asymptotic formula would report ~1.3m here.
@@ -24,22 +23,8 @@ double PcsaEstimateFromM(const std::vector<int>& leftmost_zero,
   // E(n) = (1 / 0.77351) * m * 2^(mean M)    [paper eq. 4]
   constexpr double kPhi = 0.77351;
   double estimate = m / kPhi * std::exp2(sum / m);
-  if (bias_correction) {
-    estimate /= 1.0 + 0.31 / m;
-  }
+  estimate /= 1.0 + 0.31 / m;
   return estimate;
-}
-
-double LogLogEstimateFromM(const std::vector<int>& max_rho) {
-  CHECK(!max_rho.empty());
-  const double m = static_cast<double>(max_rho.size());
-  double sum = 0.0;
-  for (int v : max_rho) sum += static_cast<double>(std::max(v, 0));
-  // Durand-Flajolet's closed-form alpha_m assumes 1-indexed rho (their
-  // rho(y) ranks the first 1-bit starting at 1); our registers store the
-  // 0-indexed bit position, hence the +1 in the exponent.
-  return LogLogAlpha(static_cast<int>(max_rho.size())) * m *
-         std::exp2(sum / m + 1.0);
 }
 
 double SuperLogLogEstimateFromM(const std::vector<int>& max_rho,
@@ -61,20 +46,6 @@ double SuperLogLogEstimateFromM(const std::vector<int>& max_rho,
   for (int i = 0; i < m0; ++i) sum += static_cast<double>(sorted[i]);
   // E(n) = alpha~_m * m0 * 2^(truncated mean)    [paper eq. 2]
   return SuperLogLogAlpha(m) * m0 * std::exp2(sum / m0);
-}
-
-double LogLogAlpha(int m) {
-  CHECK_GE(m, 2);
-  // alpha_m = (Gamma(-1/m) * (1 - 2^(1/m)) / ln 2)^-m
-  //         = (m * Gamma(1 - 1/m) * (2^(1/m) - 1) / ln 2)^-m,
-  // using Gamma(-x) = -Gamma(1 - x)/x; all factors positive, so evaluate in
-  // the log domain for stability at large m.
-  const double inv_m = 1.0 / static_cast<double>(m);
-  const double log_term = std::log(static_cast<double>(m)) +
-                          std::lgamma(1.0 - inv_m) +
-                          std::log(std::exp2(inv_m) - 1.0) -
-                          std::log(std::log(2.0));
-  return std::exp(-static_cast<double>(m) * log_term);
 }
 
 namespace {

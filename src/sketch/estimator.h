@@ -42,26 +42,15 @@ class CardinalityEstimator {
 };
 
 /// PCSA estimate (Flajolet–Martin 1985, eq. 4 of the paper) from the
-/// per-bitmap leftmost-zero positions M^<i> (one entry per bitmap).
-/// When `bias_correction` is set, divides by (1 + 0.31/m), the paper's
-/// first-order bias term.
-double PcsaEstimateFromM(const std::vector<int>& leftmost_zero,
-                         bool bias_correction = true);
-
-/// Plain LogLog estimate: alpha_m * m * 2^(mean M), with alpha_m from the
-/// Durand–Flajolet closed form. Entries of -1 (empty bitmap) count as 0.
-double LogLogEstimateFromM(const std::vector<int>& max_rho);
+/// per-bitmap leftmost-zero positions M^<i> (one entry per bitmap),
+/// divided by (1 + 0.31/m), the paper's first-order bias term.
+double PcsaEstimateFromM(const std::vector<int>& leftmost_zero);
 
 /// Super-LogLog estimate with the truncation rule (paper eq. 2): keep the
 /// m0 = floor(theta0 * m) smallest M values and apply the calibrated
 /// constant alpha~_m. theta0 = 0.7 is the near-optimal published value.
 double SuperLogLogEstimateFromM(const std::vector<int>& max_rho,
                                 double theta0 = 0.7);
-
-/// The Durand–Flajolet constant alpha_m =
-/// (Gamma(-1/m) * (1 - 2^(1/m)) / ln 2)^-m. Requires m >= 2.
-/// alpha_m -> 0.39701... as m -> infinity.
-double LogLogAlpha(int m);
 
 /// The calibrated truncated-estimator constant alpha~_m for theta0 = 0.7.
 /// Values for power-of-two m come from a Monte-Carlo calibration table

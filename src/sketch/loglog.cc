@@ -8,10 +8,9 @@
 
 namespace dhs {
 
-LogLogSketch::LogLogSketch(int num_bitmaps, int bits, Mode mode)
+LogLogSketch::LogLogSketch(int num_bitmaps, int bits)
     : num_bitmaps_(num_bitmaps),
       bits_(bits),
-      mode_(mode),
       index_bits_(Log2Floor(static_cast<uint64_t>(num_bitmaps))),
       registers_(static_cast<size_t>(num_bitmaps), -1) {
   CHECK(num_bitmaps >= 2 && num_bitmaps <= (1 << 16) &&
@@ -37,9 +36,7 @@ void LogLogSketch::OfferM(int bitmap, int value) {
 }
 
 double LogLogSketch::Estimate() const {
-  const std::vector<int> m = ObservablesM();
-  return mode_ == Mode::kPlain ? LogLogEstimateFromM(m)
-                               : SuperLogLogEstimateFromM(m);
+  return SuperLogLogEstimateFromM(ObservablesM());
 }
 
 size_t LogLogSketch::SerializedBytes() const {
@@ -66,13 +63,6 @@ void LogLogSketch::Clear() {
 
 std::vector<int> LogLogSketch::ObservablesM() const {
   return std::vector<int>(registers_.begin(), registers_.end());
-}
-
-bool LogLogSketch::Empty() const {
-  for (int8_t r : registers_) {
-    if (r >= 0) return false;
-  }
-  return true;
 }
 
 }  // namespace dhs

@@ -77,11 +77,4 @@ std::vector<int> PcsaSketch::ObservablesM() const {
   return m;
 }
 
-bool PcsaSketch::Empty() const {
-  for (uint64_t b : bitmaps_) {
-    if (b != 0) return false;
-  }
-  return true;
-}
-
 }  // namespace dhs

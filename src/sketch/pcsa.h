@@ -41,9 +41,6 @@ class PcsaSketch : public CardinalityEstimator {
   /// Per-bitmap leftmost-zero observables M^<i>.
   std::vector<int> ObservablesM() const;
 
-  /// True iff no item has been added.
-  bool Empty() const;
-
  private:
   int num_bitmaps_;
   int bits_;

@@ -71,26 +71,6 @@ TEST(RngTest, UniformU64IsRoughlyUniform) {
   }
 }
 
-TEST(RngTest, UniformInRangeInclusive) {
-  Rng rng(5);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t v = rng.UniformInRange(10, 13);
-    EXPECT_GE(v, 10u);
-    EXPECT_LE(v, 13u);
-    saw_lo |= v == 10;
-    saw_hi |= v == 13;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(RngTest, UniformInRangeFullSpanDoesNotCrash) {
-  Rng rng(6);
-  (void)rng.UniformInRange(0, ~uint64_t{0});
-}
-
 TEST(RngTest, UniformDoubleInUnitInterval) {
   Rng rng(11);
   double sum = 0.0;
@@ -118,16 +98,6 @@ TEST(RngTest, BernoulliRate) {
     if (rng.Bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
-}
-
-TEST(RngTest, ForkProducesDistinctStream) {
-  Rng a(123);
-  Rng forked = a.Fork();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (forked.Next() == a.Next()) ++equal;
-  }
-  EXPECT_EQ(equal, 0);
 }
 
 }  // namespace

@@ -197,34 +197,42 @@ TEST_F(DhsClientTest, InsertBatchDeduplicatesTuples) {
 }
 
 TEST_F(DhsClientTest, AuditModeExercisesFullPipeline) {
-  // config.audit = true runs the network + DHS audit after every insert,
-  // batch and count; any stale cache, broken byte accounting or
-  // misplaced tuple aborts via CHECK_OK inside the client.
+  // The network + DHS audit after every insert, batch, count and clock
+  // advance: any stale cache, broken byte accounting or misplaced tuple
+  // fails it.
   DhsConfig config = Config(DhsEstimator::kSuperLogLog);
-  config.audit = true;
   config.ttl_ticks = 50;
   config.replication = 2;
   auto client = DhsClient::Create(&net_, config);
   ASSERT_TRUE(client.ok());
+  auto expect_audits_pass = [&](const std::string& after) {
+    const Status network = net_.AuditFull();
+    EXPECT_TRUE(network.ok()) << after << ": " << network.ToString();
+    const Status dhs = client->AuditFull();
+    EXPECT_TRUE(dhs.ok()) << after << ": " << dhs.ToString();
+  };
   Rng rng(41);
   MixHasher hasher(41);
   std::vector<uint64_t> batch;
   for (uint64_t i = 0; i < 2000; ++i) batch.push_back(hasher.HashU64(i));
   ASSERT_TRUE(client->InsertBatch(net_.RandomNode(rng), 3, batch, rng).ok());
+  expect_audits_pass("batch");
   for (uint64_t i = 0; i < 50; ++i) {
     ASSERT_TRUE(
         client->Insert(net_.RandomNode(rng), 3, hasher.HashU64(5000 + i), rng)
             .ok());
+    expect_audits_pass("insert " + std::to_string(i));
   }
   net_.AdvanceClock(10);
+  expect_audits_pass("first clock advance");
   auto result = client->Count(net_.RandomNode(rng), 3, rng);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->estimate, 0.0);
+  expect_audits_pass("count");
   // Age everything out and audit again: the expiry path must leave the
   // heap/watermark bookkeeping consistent too.
   net_.AdvanceClock(100);
-  const Status audit = client->AuditFull();
-  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  expect_audits_pass("second clock advance");
 }
 
 TEST_F(DhsClientTest, BatchCostIsBoundedByKLookups) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dht/wire.h"
+
 namespace dhs {
 namespace {
 
@@ -18,7 +20,7 @@ TEST(DhsConfigTest, DefaultsMatchPaperSetup) {
 
 TEST(DhsConfigTest, TupleIsEightBytes) {
   // §5.1: metric 8b + vector 16b + bit 8b + timeout 32b = 8 bytes.
-  EXPECT_EQ(DhsConfig().TupleBytes(), 8u);
+  EXPECT_EQ(PutPayloadBytes(1), 8u);
 }
 
 TEST(DhsConfigTest, IndexBits) {
@@ -106,10 +108,10 @@ TEST(DhsConfigTest, RejectsBadTheta) {
 }
 
 TEST(DhsConfigTest, ProbeByteFormulas) {
-  DhsConfig config;
-  EXPECT_EQ(config.ProbeRequestBytes(), 12u);
-  EXPECT_EQ(config.ProbeResponseBytes(0), 8u);
-  EXPECT_EQ(config.ProbeResponseBytes(10), 28u);
+  // §5.1: a probe request is 12 bytes, a response listing v vectors 8 + 2v.
+  EXPECT_EQ(kProbeOpenPayloadBytes, 12u);
+  EXPECT_EQ(VectorResponsePayloadBytes(0), 8u);
+  EXPECT_EQ(VectorResponsePayloadBytes(10), 28u);
 }
 
 TEST(DhsConfigTest, EstimatorNames) {

@@ -43,12 +43,5 @@ TEST(MetricsTest, SubMetricDiffersFromBase) {
   EXPECT_NE(SubMetric(base, 0), base);
 }
 
-TEST(MetricsTest, HistogramNamingConvention) {
-  EXPECT_EQ(HistogramMetricName("orders", "amount"),
-            "histogram:orders.amount");
-  EXPECT_NE(MetricFromName(HistogramMetricName("orders", "amount")),
-            MetricFromName(HistogramMetricName("orders", "total")));
-}
-
 }  // namespace
 }  // namespace dhs

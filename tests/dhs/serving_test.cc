@@ -4,8 +4,8 @@
 // fixed seeds. The tests pin that via wave-log replay (serving world vs
 // a twin plain world with identical seeds), plus the coalescing gate
 // (ServingCoalescingTest: waves and messages at most half of serving
-// each request on its own), the frontier-cache invalidation contract
-// and the serving metrics export.
+// each request on its own) and the frontier-cache invalidation
+// contract.
 
 #include "dhs/serving.h"
 
@@ -31,7 +31,6 @@
 #include "dhs/front_door.h"
 #include "dhs/maintainer.h"
 #include "hashing/hasher.h"
-#include "obs/metrics.h"
 
 namespace dhs {
 namespace {
@@ -856,59 +855,6 @@ TEST(ServingScheduleEquivalenceTest, KademliaPcsa) {
 TEST(ServingScheduleEquivalenceTest, KademliaHyperLogLog) {
   RunRandomScheduleEquivalence<KademliaNetwork>(DhsEstimator::kHyperLogLog,
                                                 2003);
-}
-
-// ---------------------------------------------------------------------------
-// Serving metrics export.
-
-TEST(ServingMetricsExportTest, CountsWavesAndCoalescing) {
-  ChordNetwork net(FastOverlay());
-  MetricsRegistry registry;
-  net.AttachMetrics(&registry);
-  Rng setup(20260705);
-  for (int i = 0; i < 96; ++i) ASSERT_TRUE(net.AddNode(setup.Next()).ok());
-
-  DhsConfig config;
-  config.k = 24;
-  config.m = 8;
-  config.frontier_cache = true;
-  auto client = DhsClient::Create(&net, config);
-  ASSERT_TRUE(client.ok());
-  auto serving = DhsServing::Create(&client.value(), DhsServingConfig{});
-  ASSERT_TRUE(serving.ok());
-
-  Rng rng(12);
-  MixHasher hasher(12);
-  std::vector<uint64_t> items;
-  for (uint64_t i = 0; i < 200; ++i) items.push_back(hasher.HashU64(i));
-  const uint64_t origin = net.RandomNode(rng);
-  serving->SubmitInsertBatch(origin, 4, items);
-  serving->SubmitCount(origin, {4});
-  serving->SubmitCount(origin, {4});
-  ASSERT_TRUE(serving->Flush(rng).ok());
-  serving->InvalidateMetric(4);
-
-  const MetricLabels base = {{"geometry", net.GeometryName()},
-                             {"estimator", DhsEstimatorName(config.estimator)}};
-  auto with = [&](const char* key, const char* value) {
-    MetricLabels labels = base;
-    labels.emplace_back(key, value);
-    return labels;
-  };
-  EXPECT_EQ(registry.GetCounter("dhs_serving_requests_total",
-                                with("op", "count"))->value(), 2u);
-  EXPECT_EQ(registry.GetCounter("dhs_serving_requests_total",
-                                with("op", "insert"))->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("dhs_serving_waves_total",
-                                with("op", "count"))->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("dhs_serving_waves_total",
-                                with("op", "insert"))->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("dhs_serving_coalesced_total", base)->value(),
-            1u);
-  EXPECT_EQ(registry.GetCounter("dhs_serving_frontier_invalidations_total",
-                                with("reason", "insert"))->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("dhs_serving_frontier_invalidations_total",
-                                with("reason", "signal"))->value(), 1u);
 }
 
 }  // namespace

@@ -209,7 +209,6 @@ TEST(ChordAuditTest, AuditPassesUnderChurnTtlAndRouting) {
     }
     const Status audit = net.AuditFull();
     ASSERT_TRUE(audit.ok()) << "round " << round << ": " << audit.ToString();
-    net.CheckInvariants();  // DCHECK wrapper: fatal in debug builds
   }
 }
 

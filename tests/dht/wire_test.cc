@@ -3,9 +3,8 @@
 // rejection of every truncation point and one-byte extension, corrupted
 // headers / lengths / payloads coming back as error Status values, and
 // the canonical encoding property Encode(Decode(b)) == b for every
-// accepted b — mirroring tests/sketch/serialization_test.cc for the
-// sketch formats. Every type byte outside the five, including 6..9,
-// must parse as unknown. Random inputs are covered by
+// accepted b. Every type byte outside the five, including 6..9, must
+// parse as unknown. Random inputs are covered by
 // tests/fuzz/wire_fuzz.cc; this file pins down the specific corruption
 // classes.
 
@@ -17,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "dhs/config.h"
 #include "dht/store.h"
 #include "dht/wire.h"
 
@@ -268,12 +266,13 @@ TEST(AckTest, RejectsUnknownStatusCode) {
 // §5.1 sizes, so the measured transports reproduce the accounted runs.
 
 TEST(AccountingTest, SizeHelpersMatchConfigFormulas) {
-  const DhsConfig config;
-  EXPECT_EQ(kProbeOpenPayloadBytes, config.ProbeRequestBytes());
-  EXPECT_EQ(PutPayloadBytes(1), config.TupleBytes());
-  EXPECT_EQ(PutPayloadBytes(17), 17 * config.TupleBytes());
+  // §5.1's setup: n tuples cost 8n bytes and a probe response listing v
+  // vectors 8 + 2v bytes (the fixed sizes are pinned in config_test.cc).
+  for (size_t n : {size_t{1}, size_t{17}, size_t{512}}) {
+    EXPECT_EQ(PutPayloadBytes(n), 8 * n);
+  }
   for (size_t v : {size_t{0}, size_t{1}, size_t{9}, size_t{128}}) {
-    EXPECT_EQ(VectorResponsePayloadBytes(v), config.ProbeResponseBytes(v));
+    EXPECT_EQ(VectorResponsePayloadBytes(v), 8 + 2 * v);
   }
 }
 

@@ -3,14 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "common/random.h"
 #include "common/zipf.h"
-#include "dht/chord.h"
-#include "hashing/hasher.h"
-#include "relation/relation.h"
 
 namespace dhs {
 namespace {
@@ -223,59 +220,6 @@ TEST(CompressedHistogramTest, EmptyRangeIsZero) {
   auto hist = BuildCompressedHistogram(frequencies, 3);
   ASSERT_TRUE(hist.ok());
   EXPECT_EQ(EstimateRangeFromCompressed(*hist, 7, 3), 0.0);
-}
-
-TEST(AdvancedFromDhsTest, TwoPhaseConstruction) {
-  ChordConfig chord;
-  chord.hasher = "mix";
-  ChordNetwork net(chord);
-  Rng rng(1);
-  for (int i = 0; i < 128; ++i) ASSERT_TRUE(net.AddNode(rng.Next()).ok());
-  DhsConfig config;
-  config.k = 24;
-  config.m = 32;
-  auto client_or = DhsClient::Create(&net, config);
-  ASSERT_TRUE(client_or.ok());
-  DhsClient client = std::move(client_or.value());
-
-  RelationSpec spec;
-  spec.name = "T";
-  spec.num_tuples = 80000;
-  spec.domain_size = 100;
-  spec.zipf_theta = 1.0;  // strong skew: variable widths should help
-  const Relation relation = RelationGenerator::Generate(spec, 2);
-  const HistogramSpec cell_spec(1, 100, 50);
-  DhsHistogram base(&client, cell_spec, 7);
-  MixHasher hasher(3);
-  const auto assignment = AssignTuplesToNodes(relation, net.NodeIds(), rng);
-  for (const auto& [node, tuples] : assignment) {
-    std::vector<std::pair<uint64_t, int64_t>> items;
-    for (uint64_t t : tuples) {
-      items.emplace_back(hasher.HashU64(relation.TupleId(t)),
-                         relation.Value(t));
-    }
-    ASSERT_TRUE(base.InsertBatch(node, items, rng).ok());
-  }
-
-  for (auto kind : {AdvancedHistogramKind::kMaxDiff,
-                    AdvancedHistogramKind::kVOptimal}) {
-    auto result =
-        BuildAdvancedFromDhs(base, kind, 8, net.RandomNode(rng), rng);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->buckets.size(), 8u);
-    EXPECT_EQ(result->base_cells.size(), 50u);
-    ExpectPartitionInvariants(result->buckets, 50);
-    // The summary's total must track the relation cardinality.
-    EXPECT_NEAR(TotalOf(result->buckets),
-                static_cast<double>(relation.NumTuples()),
-                0.5 * static_cast<double>(relation.NumTuples()));
-    // Under strong skew, the head cells deserve narrow buckets: the
-    // first bucket should be far narrower than the domain/8 average.
-    EXPECT_LT(result->buckets.front().Width(), 50 / 8 + 1);
-    // The sweep cost is that of ONE multi-metric count.
-    EXPECT_GT(result->cost.hops, 0);
-    EXPECT_LT(result->cost.hops, 400);
-  }
 }
 
 TEST(VarBucketRangeTest, TotalsPreserved) {

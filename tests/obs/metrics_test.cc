@@ -20,13 +20,6 @@ TEST(CounterTest, IncrementsMonotonically) {
   EXPECT_EQ(counter.value(), 42u);
 }
 
-TEST(GaugeTest, KeepsLastValue) {
-  Gauge gauge;
-  gauge.Set(2.5);
-  gauge.Set(-1.0);
-  EXPECT_EQ(gauge.value(), -1.0);
-}
-
 TEST(HistogramTest, BucketsByUpperBound) {
   Histogram h({1.0, 4.0, 16.0});
   h.Observe(0.0);   // <= 1
@@ -80,7 +73,7 @@ TEST(MetricsRegistryTest, KindMismatchChecks) {
       });
   MetricsRegistry registry;
   registry.GetCounter("dhs_ops_total");
-  EXPECT_THROW(registry.GetGauge("dhs_ops_total"), CheckFired);
+  EXPECT_THROW(registry.GetHistogram("dhs_ops_total", {1.0}), CheckFired);
   SetCheckFailureHandler(previous);
 }
 
@@ -97,7 +90,7 @@ TEST(MetricsRegistryTest, WriteJsonIsSortedAndDeterministic) {
     MetricsRegistry registry;
     registry.GetCounter("z_total", {{"op", "b"}})->Increment(2);
     registry.GetCounter("a_total")->Increment(1);
-    registry.GetGauge("m_gauge")->Set(1.5);
+    registry.GetHistogram("m_hist", {2.0})->Observe(1.5);
     Histogram* h = registry.GetHistogram("h_hist", {1.0, 8.0});
     h->Observe(0.5);
     h->Observe(100.0);
@@ -112,8 +105,11 @@ TEST(MetricsRegistryTest, WriteJsonIsSortedAndDeterministic) {
       << out;
   EXPECT_NE(out.find("\"z_total{op=b}\":{\"type\":\"counter\",\"value\":2}"),
             std::string::npos);
-  EXPECT_NE(out.find("\"m_gauge\":{\"type\":\"gauge\",\"value\":1.5}"),
-            std::string::npos);
+  EXPECT_NE(
+      out.find("\"m_hist\":{\"type\":\"histogram\",\"count\":1,\"sum\":1.5,"
+               "\"bounds\":[2],\"buckets\":[1,0]}"),
+      std::string::npos)
+      << out;
   EXPECT_NE(
       out.find("\"h_hist\":{\"type\":\"histogram\",\"count\":2,\"sum\":100.5,"
                "\"bounds\":[1,8],\"buckets\":[1,0,1]}"),
@@ -121,8 +117,8 @@ TEST(MetricsRegistryTest, WriteJsonIsSortedAndDeterministic) {
       << out;
   // Keys appear in sorted order.
   EXPECT_LT(out.find("a_total"), out.find("h_hist"));
-  EXPECT_LT(out.find("h_hist"), out.find("m_gauge"));
-  EXPECT_LT(out.find("m_gauge"), out.find("z_total"));
+  EXPECT_LT(out.find("h_hist"), out.find("m_hist"));
+  EXPECT_LT(out.find("m_hist"), out.find("z_total"));
 }
 
 }  // namespace

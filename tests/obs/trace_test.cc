@@ -28,10 +28,6 @@ TEST(TraceArgTest, RendersValueTokens) {
   const TraceArg s = TraceArg::Str("kind", "drop");
   EXPECT_EQ(s.value, "drop");
   EXPECT_TRUE(s.quoted);
-
-  // %.17g round-trips doubles exactly.
-  const TraceArg f = TraceArg::F64("x", 0.1);
-  EXPECT_EQ(std::stod(f.value), 0.1);
 }
 
 TEST(TracerTest, SpansNestAndRecordParents) {

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
+#include <string>
+#include <vector>
 
 namespace dhs {
 namespace {
@@ -129,76 +130,6 @@ TEST(JoinOptimizerTest, SkewChangesOptimalOrder) {
   // Best plan joins head x tail first (result 0), leaving flat last.
   EXPECT_EQ(best->order[2], 2) << best->OrderString(query);
   EXPECT_NEAR(best->result_tuples, 0.0, 1e-9);
-}
-
-TEST(BushyOptimizerTest, NeverWorseThanLeftDeep) {
-  Rng rng(1);
-  for (int trial = 0; trial < 30; ++trial) {
-    JoinQuery query;
-    const int relations = 2 + static_cast<int>(rng.UniformU64(4));
-    for (int r = 0; r < relations; ++r) {
-      std::vector<double> buckets(10);
-      for (double& b : buckets) {
-        b = rng.Bernoulli(0.3) ? 0.0
-                               : static_cast<double>(rng.UniformU64(5000));
-      }
-      query.inputs.push_back(
-          JoinInput{"R" + std::to_string(r),
-                    AttributeStats{HistogramSpec(1, 100, 10), buckets},
-                    1024});
-    }
-    JoinOptimizer optimizer(&query);
-    auto left_deep = optimizer.Best();
-    auto bushy = optimizer.BestBushy();
-    ASSERT_TRUE(left_deep.ok());
-    ASSERT_TRUE(bushy.ok());
-    EXPECT_LE(bushy->transfer_bytes, left_deep->transfer_bytes + 1e-6)
-        << trial;
-    EXPECT_NEAR(bushy->result_tuples, left_deep->result_tuples,
-                1e-6 * (1 + left_deep->result_tuples))
-        << trial;
-  }
-}
-
-TEST(BushyOptimizerTest, MatchesLeftDeepForTwoRelations) {
-  JoinQuery query;
-  query.inputs.push_back(MakeInput("a", 10));
-  query.inputs.push_back(MakeInput("b", 100));
-  JoinOptimizer optimizer(&query);
-  auto left_deep = optimizer.Best();
-  auto bushy = optimizer.BestBushy();
-  ASSERT_TRUE(left_deep.ok());
-  ASSERT_TRUE(bushy.ok());
-  EXPECT_DOUBLE_EQ(bushy->transfer_bytes, left_deep->transfer_bytes);
-}
-
-TEST(BushyOptimizerTest, ExpressionCoversEveryRelation) {
-  JoinQuery query = ThreeWayQuery();
-  JoinOptimizer optimizer(&query);
-  auto bushy = optimizer.BestBushy();
-  ASSERT_TRUE(bushy.ok());
-  for (const JoinInput& input : query.inputs) {
-    EXPECT_NE(bushy->expression.find(input.name), std::string::npos);
-  }
-}
-
-TEST(BushyOptimizerTest, RejectsOversizedQueries) {
-  JoinQuery query;
-  for (int i = 0; i < 15; ++i) {
-    query.inputs.push_back(MakeInput("r" + std::to_string(i), 1));
-  }
-  JoinOptimizer optimizer(&query);
-  EXPECT_TRUE(optimizer.BestBushy().status().IsInvalidArgument());
-}
-
-TEST(BushyOptimizerTest, SingleRelationIsFree) {
-  JoinQuery query;
-  query.inputs.push_back(MakeInput("solo", 10));
-  JoinOptimizer optimizer(&query);
-  auto bushy = optimizer.BestBushy();
-  ASSERT_TRUE(bushy.ok());
-  EXPECT_DOUBLE_EQ(bushy->transfer_bytes, 0.0);
-  EXPECT_EQ(bushy->expression, "solo");
 }
 
 TEST(JoinPlanTest, OrderStringNamesRelations) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -18,10 +20,13 @@ TEST(HllAlphaTest, ReferenceConstants) {
   EXPECT_NEAR(HyperLogLogAlpha(1024), 0.7213 / (1 + 1.079 / 1024), 1e-12);
 }
 
+// HLL counts over LogLogSketch's registers: the sketch keeps the max-rho
+// observables and HyperLogLogEstimateFromM turns them into a count.
+
 TEST(HllSketchTest, EmptyEstimatesZero) {
-  HllSketch sketch(64, 24);
-  EXPECT_TRUE(sketch.Empty());
-  EXPECT_EQ(sketch.Estimate(), 0.0);
+  LogLogSketch sketch(64, 24);
+  EXPECT_EQ(sketch.ObservablesM(), std::vector<int>(64, -1));
+  EXPECT_EQ(HyperLogLogEstimateFromM(sketch.ObservablesM()), 0.0);
 }
 
 TEST(HllSketchTest, LinearCountingSmallRange) {
@@ -29,53 +34,13 @@ TEST(HllSketchTest, LinearCountingSmallRange) {
   // the regime where PCSA and LogLog formulas are badly biased.
   Rng rng(1);
   for (uint64_t n : {1u, 5u, 20u, 50u}) {
-    HllSketch sketch(256, 24);
+    LogLogSketch sketch(256, 24);
     for (uint64_t i = 0; i < n; ++i) sketch.AddHash(rng.Next());
-    EXPECT_NEAR(sketch.Estimate(), static_cast<double>(n),
+    EXPECT_NEAR(HyperLogLogEstimateFromM(sketch.ObservablesM()),
+                static_cast<double>(n),
                 std::max(2.0, 0.25 * static_cast<double>(n)))
         << n;
   }
-}
-
-TEST(HllSketchTest, DuplicateInsensitive) {
-  HllSketch once(64, 24);
-  HllSketch many(64, 24);
-  Rng rng(2);
-  std::vector<uint64_t> hashes;
-  for (int i = 0; i < 1000; ++i) hashes.push_back(rng.Next());
-  for (uint64_t h : hashes) once.AddHash(h);
-  for (int round = 0; round < 3; ++round) {
-    for (uint64_t h : hashes) many.AddHash(h);
-  }
-  EXPECT_EQ(once.Estimate(), many.Estimate());
-}
-
-TEST(HllSketchTest, MergeMatchesUnion) {
-  Rng rng(3);
-  HllSketch a(64, 24);
-  HllSketch b(64, 24);
-  HllSketch both(64, 24);
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t h = rng.Next();
-    (i % 2 == 0 ? a : b).AddHash(h);
-    both.AddHash(h);
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_EQ(a.Estimate(), both.Estimate());
-}
-
-TEST(HllSketchTest, MergeRejectsMismatch) {
-  HllSketch a(64, 24);
-  HllSketch b(32, 24);
-  LogLogSketch c(64, 24);
-  EXPECT_TRUE(a.Merge(b).IsInvalidArgument());
-  EXPECT_TRUE(a.Merge(c).IsInvalidArgument());
-}
-
-TEST(HllSketchTest, SerializedBytesMatchesFormula) {
-  HllSketch sketch(512, 24);
-  // header 8 + one byte per register
-  EXPECT_EQ(sketch.SerializedBytes(), 8u + 512u);
 }
 
 TEST(HllEstimateFromMTest, SharesObservablesWithLogLog) {
@@ -95,9 +60,10 @@ TEST_P(HllAccuracyTest, ErrorWithinTheory) {
   constexpr uint64_t kN = 100000;
   StreamingStats errors;
   for (int trial = 0; trial < 12; ++trial) {
-    HllSketch sketch(m, 32);
+    LogLogSketch sketch(m, 32);
     for (uint64_t i = 0; i < kN; ++i) sketch.AddHash(rng.Next());
-    errors.Add((sketch.Estimate() - kN) / static_cast<double>(kN));
+    errors.Add((HyperLogLogEstimateFromM(sketch.ObservablesM()) - kN) /
+               static_cast<double>(kN));
   }
   const double standard_error = 1.04 / std::sqrt(static_cast<double>(m));
   EXPECT_LT(std::fabs(errors.mean()), 4 * standard_error) << m;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -12,7 +13,7 @@ namespace {
 
 TEST(LogLogSketchTest, EmptyEstimatesZero) {
   LogLogSketch sketch(64, 24);
-  EXPECT_TRUE(sketch.Empty());
+  EXPECT_EQ(sketch.ObservablesM(), std::vector<int>(64, -1));
   EXPECT_EQ(sketch.Estimate(), 0.0);
 }
 
@@ -99,9 +100,9 @@ TEST(LogLogSketchTest, MergeRejectsOtherSketchType) {
 TEST(LogLogSketchTest, ClearResets) {
   LogLogSketch sketch(16, 24);
   sketch.AddHash(999);
-  EXPECT_FALSE(sketch.Empty());
+  EXPECT_NE(sketch.ObservablesM(), std::vector<int>(16, -1));
   sketch.Clear();
-  EXPECT_TRUE(sketch.Empty());
+  EXPECT_EQ(sketch.ObservablesM(), std::vector<int>(16, -1));
 }
 
 TEST(LogLogSketchTest, SpaceIsOneBytePerRegister) {
@@ -131,16 +132,6 @@ TEST_P(SllAccuracyTest, ErrorWithinTheory) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SllAccuracyTest,
                          ::testing::Values(16, 64, 256, 1024));
-
-TEST(LogLogModeTest, PlainModeAlsoEstimates) {
-  Rng rng(5);
-  LogLogSketch sketch(256, 32, LogLogSketch::Mode::kPlain);
-  constexpr uint64_t kN = 50000;
-  for (uint64_t i = 0; i < kN; ++i) sketch.AddHash(rng.Next());
-  // Plain LogLog: stderr ~= 1.30/sqrt(m); allow 5 sigma.
-  EXPECT_NEAR(sketch.Estimate(), static_cast<double>(kN),
-              5 * 1.30 / std::sqrt(256.0) * kN);
-}
 
 }  // namespace
 }  // namespace dhs

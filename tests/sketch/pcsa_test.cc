@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -12,7 +13,7 @@ namespace {
 
 TEST(PcsaSketchTest, EmptyEstimatesZero) {
   PcsaSketch sketch(64, 24);
-  EXPECT_TRUE(sketch.Empty());
+  EXPECT_EQ(sketch.ObservablesM(), std::vector<int>(64, 0));
   EXPECT_EQ(sketch.Estimate(), 0.0);
 }
 
@@ -88,9 +89,9 @@ TEST(PcsaSketchTest, MergeIsIdempotent) {
 TEST(PcsaSketchTest, ClearResets) {
   PcsaSketch sketch(16, 24);
   sketch.AddHash(12345);
-  EXPECT_FALSE(sketch.Empty());
+  EXPECT_GT(sketch.Estimate(), 0.0);
   sketch.Clear();
-  EXPECT_TRUE(sketch.Empty());
+  EXPECT_EQ(sketch.ObservablesM(), std::vector<int>(16, 0));
   EXPECT_EQ(sketch.Estimate(), 0.0);
 }
 

@@ -1,4 +1,4 @@
-// Cross-cutting property tests over all three sketch families:
+// Cross-cutting property tests over both sketch families:
 // merge algebra (commutative, associative, idempotent) and union
 // monotonicity.
 
@@ -7,14 +7,13 @@
 #include <memory>
 
 #include "common/random.h"
-#include "sketch/hyperloglog.h"
 #include "sketch/loglog.h"
 #include "sketch/pcsa.h"
 
 namespace dhs {
 namespace {
 
-enum class Kind { kPcsa, kLogLog, kHll };
+enum class Kind { kPcsa, kLogLog };
 
 std::unique_ptr<CardinalityEstimator> Make(Kind kind, int m, int bits) {
   switch (kind) {
@@ -22,8 +21,6 @@ std::unique_ptr<CardinalityEstimator> Make(Kind kind, int m, int bits) {
       return std::make_unique<PcsaSketch>(m, bits);
     case Kind::kLogLog:
       return std::make_unique<LogLogSketch>(m, bits);
-    case Kind::kHll:
-      return std::make_unique<HllSketch>(m, bits);
   }
   return nullptr;
 }
@@ -137,17 +134,10 @@ TEST_P(SketchPropertyTest, ClearRestoresEmptyState) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSketches, SketchPropertyTest,
-                         ::testing::Values(Kind::kPcsa, Kind::kLogLog,
-                                           Kind::kHll),
+                         ::testing::Values(Kind::kPcsa, Kind::kLogLog),
                          [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case Kind::kPcsa:
-                               return "Pcsa";
-                             case Kind::kLogLog:
-                               return "LogLog";
-                             default:
-                               return "Hll";
-                           }
+                           return param_info.param == Kind::kPcsa ? "Pcsa"
+                                                                  : "LogLog";
                          });
 
 }  // namespace

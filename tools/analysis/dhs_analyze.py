@@ -50,8 +50,8 @@ four checker families over the whole-project view:
 
   serialization        serial-raw-bytes        memcpy/memmove or a
                        reinterpret_cast to a multi-byte integer type
-                       inside src/sketch/ or src/dht/: byte-level
-                       codec work must route through the
+                       inside src/dht/, where every wire format lives:
+                       byte-level codec work must route through the
                        common/bit_util.h load/store helpers so the
                        wire format stays endian-explicit and auditable
                        in one place.
@@ -154,7 +154,7 @@ LAYER_FILE_OVERRIDES = {
 }
 
 WALLCLOCK_EXEMPT_PREFIXES = ("bench/", "src/common/")
-SERIAL_PREFIXES = ("src/sketch/", "src/dht/")
+SERIAL_PREFIXES = ("src/dht/",)
 SERIAL_EXEMPT = {"src/common/bit_util.h"}
 
 DEFAULT_SCAN_DIRS = ("src", "tools", "bench")

@@ -83,6 +83,11 @@
 //                  [--drop=P] [--timeout=P] [--crash=P]
 //                  [--trace-out=PATH] [--metrics-out=PATH]
 //
+// Numeric values must be the whole flag value: --steps and --schedules
+// whole numbers >= 1, --jobs >= 0, --seed any uint64_t, and each fault
+// probability P a number in [0, 1]. Anything else prints why and exits
+// 2 before any world is built.
+//
 // --trace-out / --metrics-out attach an observability sink to every
 // world; each world writes PATH (suffixed .<geometry>.<seed> when the
 // run spans several worlds) at the end of its schedule, and the checker
@@ -94,6 +99,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -114,6 +120,7 @@
 #include "hashing/hasher.h"
 #include "sketch/estimator.h"
 #include "sketch/hyperloglog.h"
+#include "strict_number.h"
 
 namespace dhs {
 namespace {
@@ -1340,16 +1347,47 @@ class ServingDifferential {
   bool faults_configured_ = false;
 };
 
+// Flag values parse strictly (strict_number.h): anything else exits 2
+// before a world is built, so a typo cannot turn a faulted check into a
+// clean one, or into no check at all.
+[[noreturn]] void RejectFlag(const std::string& arg, const std::string& what) {
+  std::fprintf(stderr, "audit_sim: %s is not %s\n", arg.c_str(),
+               what.c_str());
+  std::exit(2);
+}
+
+const char* FlagValue(const std::string& arg) {
+  return arg.c_str() + arg.find('=') + 1;
+}
+
+uint64_t WholeFlag(const std::string& arg, uint64_t min, uint64_t max) {
+  uint64_t value = 0;
+  if (!ParseWholeNumber(FlagValue(arg), min, max, &value)) {
+    RejectFlag(arg, "a whole number in [" + std::to_string(min) + ", " +
+                        std::to_string(max) + "]");
+  }
+  return value;
+}
+
+double ProbabilityFlag(const std::string& arg) {
+  double value = 0.0;
+  if (!ParseProbability(FlagValue(arg), &value)) {
+    RejectFlag(arg, "a number in [0, 1]");
+  }
+  return value;
+}
+
 int Main(int argc, char** argv) {
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
   SimOptions options;
   bool both = true;  // default: both geometries, one report each
   bool serving_mode = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--steps=", 0) == 0) {
-      options.steps = std::atoi(arg.c_str() + 8);
+      options.steps = static_cast<int>(WholeFlag(arg, 1, kIntMax));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      options.seed = WholeFlag(arg, 0, ~uint64_t{0});
     } else if (arg == "--geometry=chord") {
       options.geometry = Geometry::kChord;
       both = false;
@@ -1369,16 +1407,15 @@ int Main(int argc, char** argv) {
     } else if (arg == "--serving") {
       serving_mode = true;
     } else if (arg.rfind("--schedules=", 0) == 0) {
-      options.schedules = std::atoi(arg.c_str() + 12);
+      options.schedules = static_cast<int>(WholeFlag(arg, 1, kIntMax));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = std::atoi(arg.c_str() + 7);
+      options.jobs = static_cast<int>(WholeFlag(arg, 0, kIntMax));
     } else if (arg.rfind("--drop=", 0) == 0) {
-      options.faults.drop_probability = std::strtod(arg.c_str() + 7, nullptr);
+      options.faults.drop_probability = ProbabilityFlag(arg);
     } else if (arg.rfind("--timeout=", 0) == 0) {
-      options.faults.timeout_probability =
-          std::strtod(arg.c_str() + 10, nullptr);
+      options.faults.timeout_probability = ProbabilityFlag(arg);
     } else if (arg.rfind("--crash=", 0) == 0) {
-      options.faults.crash_probability = std::strtod(arg.c_str() + 8, nullptr);
+      options.faults.crash_probability = ProbabilityFlag(arg);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       options.trace_out = arg.substr(std::string("--trace-out=").size());
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -1393,7 +1430,6 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
-  if (options.schedules < 1) options.schedules = 1;
   CHECK_OK(options.faults.Validate()) << "fault probabilities";
 
   std::vector<Geometry> geometries;

@@ -6,15 +6,22 @@
 // The resulting table is baked into src/sketch/estimator.cc.
 //
 // Usage: calibrate_sll [trials] [n]
+//
+// Both arguments must be whole numbers >= 1; anything else prints why
+// and exits 2.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "sketch/loglog.h"
+#include "strict_number.h"
 
 namespace {
 
@@ -33,11 +40,28 @@ double RawTruncatedStatistic(const std::vector<int>& observables,
   return m0 * std::exp2(sum / m0);
 }
 
+// Reads positional argument `index` (default `fallback` when absent) as
+// a whole number in [1, max]; anything else exits 2.
+uint64_t WholeArg(int argc, char** argv, int index, const char* name,
+                  uint64_t fallback, uint64_t max) {
+  if (argc <= index) return fallback;
+  uint64_t value = 0;
+  if (!dhs::ParseWholeNumber(argv[index], 1, max, &value)) {
+    std::fprintf(stderr,
+                 "calibrate_sll: %s=%s is not a whole number in [1, %s]\n",
+                 name, argv[index], std::to_string(max).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 400;
-  const uint64_t n = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1000000;
+  const int trials = static_cast<int>(WholeArg(
+      argc, argv, 1, "trials", 400, std::numeric_limits<int>::max()));
+  const uint64_t n = WholeArg(argc, argv, 2, "n", 1000000,
+                              std::numeric_limits<uint64_t>::max());
   const double theta0 = 0.7;
 
   std::printf("# alpha~_m calibration: theta0=%.2f trials=%d n=%llu\n",
