@@ -57,24 +57,10 @@ DhsPlacement DhsClient::PlaceItem(uint64_t item_hash) const {
   return placement;
 }
 
-// Extra ReplicaCandidates requested beyond the copies still needed, so
-// a crashed or unreachable candidate can be skipped without running the
-// list dry.
-constexpr int kReplicaSlack = 2;
-
 namespace {
 
 // Indexed by DhsClient::OpIndex.
 constexpr const char* kOpNames[] = {"insert", "insert_batch", "count"};
-
-/// Records a retry instant inside the enclosing span (no-op when
-/// tracing is off).
-void TraceRetry(DhtNetwork* network, const char* what, int attempt) {
-  Tracer* tracer = network->tracer();
-  if (tracer == nullptr) return;
-  tracer->Instant("retry", {TraceArg::Str("what", what),
-                            TraceArg::I64("attempt", attempt)});
-}
 
 }  // namespace
 
@@ -138,44 +124,18 @@ void DhsClient::FinishOp(ScopedSpan& span, OpIndex op,
   m->failed_probes->Increment(static_cast<uint64_t>(cost.failed_probes));
 }
 
-StatusOr<Transport::Delivery> DhsClient::RouteFrameWithRetry(
-    uint64_t origin_node, const std::string& frame, size_t accounted_bytes,
-    DhsCostReport* cost) {
-  for (int attempt = 0;; ++attempt) {
-    auto delivery = transport_->Route(origin_node, frame);
-    if (delivery.ok()) {
-      cost->dht_lookups += 1;
-      cost->hops += delivery->hops;
-      cost->bytes += accounted_bytes * static_cast<size_t>(delivery->hops);
-      return delivery;
-    }
-    if (!IsTransientFault(delivery.status())) return delivery.status();
-    cost->dht_lookups += 1;  // issued and charged, then lost in flight
-    if (attempt + 1 >= config_.retry_attempts) return delivery.status();
-    cost->retries += 1;
-    TraceRetry(network_, "lookup", attempt + 1);
+PutFrame DhsClient::BitGroupFrame(uint64_t metric_id, int bit,
+                                  const std::vector<int>& vector_ids,
+                                  uint64_t target_key) const {
+  PutFrame put;
+  put.dst_key = target_key;
+  put.metric_id = metric_id;
+  put.expiry = config_.ttl_ticks;
+  put.keys.reserve(vector_ids.size());
+  for (int vector_id : vector_ids) {
+    put.keys.push_back(MakeDhsKey(metric_id, bit, vector_id));
   }
-}
-
-StatusOr<Transport::Delivery> DhsClient::SendFrameWithRetry(
-    uint64_t from_node, uint64_t to_node, const std::string& frame,
-    size_t accounted_bytes, DhsCostReport* cost) {
-  for (int attempt = 0;; ++attempt) {
-    auto delivery = transport_->Send(from_node, to_node, frame);
-    if (delivery.ok()) {
-      cost->direct_probes += 1;
-      if (from_node != to_node) {
-        cost->hops += 1;
-        cost->bytes += accounted_bytes;
-      }
-      return delivery;
-    }
-    if (!IsTransientFault(delivery.status())) return delivery.status();
-    cost->direct_probes += 1;  // issued and charged, then lost in flight
-    if (attempt + 1 >= config_.retry_attempts) return delivery.status();
-    cost->retries += 1;
-    TraceRetry(network_, "direct_hop", attempt + 1);
-  }
+  return put;
 }
 
 Status DhsClient::StoreTuple(uint64_t origin_node, uint64_t metric_id,
@@ -189,65 +149,11 @@ Status DhsClient::StoreTuple(uint64_t origin_node, uint64_t metric_id,
     span.Arg(TraceArg::I64("bit", bit));
     span.Arg(TraceArg::U64("vectors", vector_ids.size()));
   }
-
-  const uint64_t target_key = mapping_.RandomIdIn(*interval, rng);
-
-  // The insertion group as one kPut frame: the §5.1 tuples in the
-  // payload, addressing in the envelope, and a *relative* TTL so the
-  // serving side anchors expiry at the delivery tick.
-  PutFrame put;
-  put.dst_key = target_key;
-  put.metric_id = metric_id;
-  put.expiry = config_.ttl_ticks;
-  put.keys.reserve(vector_ids.size());
-  for (int vector_id : vector_ids) {
-    put.keys.push_back(MakeDhsKey(metric_id, bit, vector_id));
-  }
-  const std::string frame = EncodePut(put);
-  const size_t payload = PutPayloadBytes(vector_ids.size());
-
-  cost->replicas_requested += config_.replication;
-  // The primary write is durable once the routed frame reached the
-  // responsible node (the transport applied it on delivery); replica
-  // failures below degrade, never error.
-  auto delivery = RouteFrameWithRetry(origin_node, frame, payload, cost);
-  if (!delivery.ok()) return delivery.status();
-  cost->replicas_written += 1;
-
-  int extra_needed = config_.replication - 1;
-  if (extra_needed <= 0) return Status::OK();
-
-  // Replica copies reuse the primary's expiry, so all copies of a group
-  // age out together: the replica frame carries the *absolute* tick the
-  // primary's TTL resolved to.
-  const uint64_t ttl = config_.ttl_ticks;
-  PutFrame replica_put = put;
-  replica_put.absolute_expiry = true;
-  replica_put.expiry = ttl == kNoExpiry ? kNoExpiry : network_->now() + ttl;
-  const std::string replica_frame = EncodePut(replica_put);
-
-  // §3.5 replication, geometry-aware: the extra copies go to the nodes
-  // the counting walk probes after the primary (ReplicaCandidates
-  // shares its ordering with ProbeCandidates), falling through
-  // candidates that cannot be reached.
-  const uint64_t primary = delivery->node;
-  const std::vector<uint64_t> replicas = network_->ReplicaCandidates(
-      *interval, target_key, primary, extra_needed + kReplicaSlack);
-  for (uint64_t replica : replicas) {
-    auto hop = SendFrameWithRetry(primary, replica, replica_frame, payload,
-                                  cost);
-    if (!hop.ok()) {
-      if (hop.status().IsInvalidArgument() ||
-          IsTransientFault(hop.status())) {
-        cost->failed_probes += 1;
-        continue;
-      }
-      return hop.status();
-    }
-    cost->replicas_written += 1;
-    if (--extra_needed == 0) break;
-  }
-  return Status::OK();
+  return PutWithReplicas(
+      sender(), origin_node,
+      BitGroupFrame(metric_id, bit, vector_ids,
+                    mapping_.RandomIdIn(*interval, rng)),
+      *interval, config_.replication, cost);
 }
 
 StatusOr<DhsCostReport> DhsClient::Insert(uint64_t origin_node,
@@ -353,7 +259,8 @@ Status DhsClient::ProbeInterval(uint64_t origin_node, int bit,
   open.bit = bit;
   const std::string request_frame = EncodeProbeOpen(open);
   const size_t request = kProbeOpenPayloadBytes;
-  auto lookup = RouteFrameWithRetry(origin_node, request_frame, request, cost);
+  auto lookup =
+      RouteFrameWithRetry(sender(), origin_node, request_frame, request, cost);
   if (!lookup.ok()) {
     if (IsTransientFault(lookup.status())) {
       // The interval could not be reached through all retry attempts:
@@ -378,8 +285,8 @@ Status DhsClient::ProbeInterval(uint64_t origin_node, int bit,
       network_->ProbeCandidates(interval, target_key, start, lim - 1);
   uint64_t current = start;
   for (uint64_t next : candidates) {
-    auto hop =
-        SendFrameWithRetry(current, next, request_frame, request, cost);
+    auto hop = SendFrameWithRetry(sender(), current, next, request_frame,
+                                  request, cost);
     if (!hop.ok()) {
       if (hop.status().IsInvalidArgument() ||
           IsTransientFault(hop.status())) {

@@ -3,8 +3,9 @@
 // algorithm (§4, Alg. 1) for both DHS-PCSA and DHS-sLL.
 //
 // A DhsClient is a *protocol endpoint*, not a server: any overlay node can
-// act through it. All network effects go through the DhtNetwork, so
-// every hop and byte is accounted.
+// act through it. All network effects go through its Transport, with
+// the retry policy and insertion step of dht/transport.h, so every hop
+// and byte is accounted (DhsCostReport lives there too).
 
 #ifndef DHS_DHS_CLIENT_H_
 #define DHS_DHS_CLIENT_H_
@@ -24,39 +25,6 @@
 #include "dhs/mapping.h"
 
 namespace dhs {
-
-/// Cost of one DHS operation, in the paper's metrics, plus the
-/// fault-tolerance accounting (retries issued, probes abandoned,
-/// replication achieved). Every *issued* message attempt — including
-/// ones a FaultPlan then fails — counts toward dht_lookups /
-/// direct_probes, so `network stats messages delta == dht_lookups +
-/// direct_probes` holds with or without faults (audit_sim pins this).
-struct DhsCostReport {
-  int nodes_visited = 0;   // distinct nodes probed for DHS state
-  int hops = 0;            // routing hops + one-hop retries
-  uint64_t bytes = 0;      // request + response payload bytes
-  int dht_lookups = 0;     // full O(log N) lookups issued
-  int direct_probes = 0;   // one-hop candidate/replica messages issued
-  int retries = 0;         // re-issued messages after a transient failure
-  int failed_probes = 0;   // candidate holders skipped after retries ran out
-  int replicas_requested = 0;  // copies the replication config asked for
-  int replicas_written = 0;    // copies durably stored (>= 1 per stored bit)
-  int bit_groups_failed = 0;   // insert bit groups whose primary write failed
-
-  DhsCostReport& operator+=(const DhsCostReport& o) {
-    nodes_visited += o.nodes_visited;
-    hops += o.hops;
-    bytes += o.bytes;
-    dht_lookups += o.dht_lookups;
-    direct_probes += o.direct_probes;
-    retries += o.retries;
-    failed_probes += o.failed_probes;
-    replicas_requested += o.replicas_requested;
-    replicas_written += o.replicas_written;
-    bit_groups_failed += o.bit_groups_failed;
-    return *this;
-  }
-};
 
 /// Result of a distributed count. Counting degrades gracefully under
 /// faults: an interval whose probes cannot be completed is skipped
@@ -143,6 +111,14 @@ class DhsClient {
   template <typename Fn>
   int ForEachBitGroup(const std::vector<uint64_t>& item_hashes, Fn&& fn);
 
+  /// The §3.2 message of one bit group: a kPut addressed to
+  /// `target_key` (drawn from bit r's interval) carrying the group's
+  /// (metric, bit, vector) tuples and the configured TTL, relative, so
+  /// the serving side anchors expiry at the delivery tick.
+  PutFrame BitGroupFrame(uint64_t metric_id, int bit,
+                         const std::vector<int>& vector_ids,
+                         uint64_t target_key) const;
+
   /// Bulk insertion (§3.2): groups items by bit position and contacts one
   /// random target per bit, so a node records any number of items with at
   /// most k + 1 lookups per round. A bit group whose primary write fails
@@ -196,39 +172,18 @@ class DhsClient {
   [[nodiscard]] Status AuditFull() const;
 
  private:
-  // The front door closes its insert batches out with this client's
-  // root-span annotations and op metrics.
-  friend class DhsFrontDoor;
-
   DhsClient(DhtNetwork* network, const DhsConfig& config,
             std::shared_ptr<Transport> transport);
 
-  /// Routes an encoded frame with the configured retry policy:
-  /// re-issues the frame on transient failures (Unavailable /
-  /// DeadlineExceeded), up to config_.retry_attempts attempts, each sent
-  /// at once: the virtual clock does not advance between them. Every
-  /// attempt sent is charged to cost (dht_lookups; hops/bytes only on
-  /// success — a faulted frame does no observable work); each resend
-  /// counts as a retry. Non-transient errors are terminal and uncharged
-  /// (the transport rejected the frame without sending it).
-  /// `accounted_bytes` is the frame's §5.1 payload
-  /// (AccountedPayloadBytes), charged per hop on delivery.
-  [[nodiscard]] StatusOr<Transport::Delivery> RouteFrameWithRetry(
-      uint64_t origin_node, const std::string& frame, size_t accounted_bytes,
-      DhsCostReport* cost);
+  /// This client's frames: its transport, its network and
+  /// config_.retry_attempts sends per message.
+  FrameSender sender() const {
+    return FrameSender{transport_.get(), network_, config_.retry_attempts};
+  }
 
-  /// One-hop frame forward with the same retry policy and accounting
-  /// (direct_probes instead of dht_lookups).
-  [[nodiscard]] StatusOr<Transport::Delivery> SendFrameWithRetry(
-      uint64_t from_node, uint64_t to_node, const std::string& frame,
-      size_t accounted_bytes, DhsCostReport* cost);
-
-  /// Stores one tuple at the node responsible for a random ID in bit r's
-  /// interval, plus `replication - 1` copies on the overlay's
-  /// ReplicaCandidates. The target key is freshly randomized per call
-  /// (load balancing). The primary write is durable-or-error; replica
-  /// copies that fail through retries degrade replicas_written instead
-  /// of failing the store.
+  /// Stores one bit group at the node responsible for a random ID in bit
+  /// r's interval, plus `replication - 1` copies (PutWithReplicas). The
+  /// target key is freshly randomized per call (load balancing).
   [[nodiscard]] Status StoreTuple(uint64_t origin_node, uint64_t metric_id, int bit,
                     const std::vector<int>& vector_ids, Rng& rng,
                     DhsCostReport* cost);

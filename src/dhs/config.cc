@@ -48,9 +48,6 @@ Status DhsConfig::Validate(const IdSpace& space) const {
   if (shift_bits < 0 || shift_bits >= RhoBits()) {
     return Status::InvalidArgument("shift_bits must be in [0, k)");
   }
-  if (theta0 <= 0.0 || theta0 > 1.0) {
-    return Status::InvalidArgument("theta0 must be in (0, 1]");
-  }
   return Status::OK();
 }
 

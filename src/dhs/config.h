@@ -82,8 +82,10 @@ struct DhsConfig {
   /// dhs_frontier_cache_{hits,misses}_total when metrics are attached.
   bool frontier_cache = false;
 
-  /// Truncation parameter theta0 of super-LogLog.
-  double theta0 = 0.7;
+  /// Truncation parameter theta0 of super-LogLog. A constant, not a
+  /// knob: SuperLogLogEstimateFromM's alpha~_m table is calibrated for
+  /// 0.7 only, so any other value would bias every sLL estimate.
+  static constexpr double theta0 = 0.7;
 
   /// Checks parameter consistency against the overlay's ID space.
   [[nodiscard]] Status Validate(const IdSpace& space) const;

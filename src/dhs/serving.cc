@@ -2,16 +2,17 @@
 
 #include <utility>
 
+#include "dhs/front_door.h"
 #include "obs/trace.h"
 
 namespace dhs {
 
 StatusOr<DhsServing> DhsServing::Create(DhsFrontDoor* front_door,
-                                        const DhsServingConfig& /*config*/) {
+                                        const DhsServingConfig& config) {
   if (front_door == nullptr) {
     return Status::InvalidArgument("front door must not be null");
   }
-  return DhsServing(front_door, front_door->client());
+  return Create(front_door->client(), config);
 }
 
 StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
@@ -19,11 +20,8 @@ StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
   if (client == nullptr) {
     return Status::InvalidArgument("client must not be null");
   }
-  return DhsServing(nullptr, client);
+  return DhsServing(client);
 }
-
-DhsServing::DhsServing(DhsFrontDoor* door, DhsClient* client)
-    : door_(door), client_(client) {}
 
 uint64_t DhsServing::SubmitCount(uint64_t origin_node,
                                  std::vector<uint64_t> metric_ids) {
@@ -72,10 +70,7 @@ void DhsServing::FlushInserts(Rng& rng) {
     wave.metric_id = p.metric_id;
     wave.hashes = p.hashes;
     wave_log_.push_back(std::move(wave));
-    auto result =
-        door_ != nullptr
-            ? door_->InsertBatch(p.origin, p.metric_id, p.hashes, rng)
-            : client_->InsertBatch(p.origin, p.metric_id, p.hashes, rng);
+    auto result = client_->InsertBatch(p.origin, p.metric_id, p.hashes, rng);
     ++stats_.insert_waves;
     insert_results_.emplace(p.ticket, std::move(result));
   }

@@ -19,7 +19,7 @@
 // Headline guarantee: served answers are byte-identical to the
 // unoptimized path under fixed seeds. Every wave is appended to a
 // replayable log (wave_log); replaying the log through a plain
-// DhsClient / DhsFrontDoor with an identically seeded RNG reproduces
+// DhsClient with an identically seeded RNG reproduces
 // every estimate, observable and DhsCostReport bit for bit (pinned by
 // tests/dhs/serving_test.cc and the audit_sim --serving differential
 // leg).
@@ -35,9 +35,10 @@
 #include "common/status.h"
 #include "dhs/client.h"
 #include "dhs/config.h"
-#include "dhs/front_door.h"
 
 namespace dhs {
+
+class DhsFrontDoor;
 
 /// Serving has no switches: pending counts of the same metric set
 /// always share one wave. The struct and the Create parameter remain
@@ -74,10 +75,8 @@ struct ServingStats {
 
 class DhsServing {
  public:
-  /// The backend (and its network) must outlive the serving layer.
-  /// Exactly one backend: the front door (inserts through its
-  /// executor) or the sequential client. Counts always run on the
-  /// client, the front door's own for that backend.
+  /// The client (and its network) must outlive the serving layer. A
+  /// front door serves through its own client.
   static StatusOr<DhsServing> Create(DhsFrontDoor* front_door,
                                      const DhsServingConfig& config);
   static StatusOr<DhsServing> Create(DhsClient* client,
@@ -124,9 +123,7 @@ class DhsServing {
   size_t PendingInserts() const { return pending_inserts_.size(); }
 
  private:
-  /// `client` is never null: the front door's own client, or the
-  /// sequential backend.
-  DhsServing(DhsFrontDoor* door, DhsClient* client);
+  explicit DhsServing(DhsClient* client) : client_(client) {}
 
   struct PendingCount {
     uint64_t ticket;
@@ -150,8 +147,7 @@ class DhsServing {
   void ObserveCountWave(const PendingCount& head,
                         const DhsClient::MultiCountResult& result);
 
-  DhsFrontDoor* door_;  // null for the sequential backend
-  DhsClient* client_;   // config, network, mapping and frontier cache
+  DhsClient* client_;  // never null
 
   uint64_t next_ticket_ = 1;
   std::vector<PendingCount> pending_counts_;

@@ -301,7 +301,7 @@ Status DhtNetwork::DirectHop(uint64_t from_node, uint64_t to_node,
                              size_t payload_bytes) {
   from_node = space_.Clamp(from_node);
   to_node = space_.Clamp(to_node);
-  if (nodes_.count(from_node) == 0 || nodes_.count(to_node) == 0) {
+  if (!Contains(from_node) || !Contains(to_node)) {
     return Status::InvalidArgument("direct hop between unknown nodes");
   }
   ScopedSpan span(tracer_, "direct_hop");

@@ -32,6 +32,7 @@
 #ifndef DHS_DHT_NETWORK_H_
 #define DHS_DHT_NETWORK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -106,7 +107,11 @@ class DhtNetwork : private ThreadHostile {
   /// Abrupt failure: the node vanishes and its records are lost (§3.5).
   [[nodiscard]] Status FailNode(uint64_t node_id);
 
-  bool Contains(uint64_t node_id) const { return nodes_.count(node_id) > 0; }
+  /// Membership test on the ring index (contiguous, so cheaper than the
+  /// node map it mirrors).
+  bool Contains(uint64_t node_id) const {
+    return std::binary_search(ring_.begin(), ring_.end(), node_id);
+  }
   size_t NumNodes() const { return ring_.size(); }
 
   /// All live node IDs in ascending order.
@@ -366,9 +371,6 @@ class DhtNetwork : private ThreadHostile {
   // every store. Each store is bound to it and lowers it on Put, so an
   // idle AdvanceClock is one comparison.
   uint64_t expiry_watermark_ = kNoExpiry;
-
-  friend class ShardedNetwork;  // dht/shard.h: the inline kPut executor
-                                // routes and stores over the internals
 };
 
 }  // namespace dhs

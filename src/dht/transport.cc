@@ -24,6 +24,20 @@ uint64_t PutExpiry(const PutFrame& put, uint64_t now) {
   return put.expiry > kNoExpiry - now ? kNoExpiry : now + put.expiry;
 }
 
+// Extra ReplicaCandidates requested beyond the copies still needed, so
+// a crashed or unreachable candidate can be skipped without running the
+// list dry.
+constexpr int kReplicaSlack = 2;
+
+/// Records a retry instant inside the enclosing span (no-op when
+/// tracing is off).
+void TraceRetry(const DhtNetwork& network, const char* what, int attempt) {
+  Tracer* tracer = network.tracer();
+  if (tracer == nullptr) return;
+  tracer->Instant("retry", {TraceArg::Str("what", what),
+                            TraceArg::I64("attempt", attempt)});
+}
+
 StatusOr<std::string> ServePut(DhtNetwork& network, uint64_t node,
                                const PutFrame& put) {
   NodeStore* store = network.StoreAt(node);
@@ -182,6 +196,91 @@ StatusOr<std::string> SimTransport::Query(uint64_t node,
   // it to the response frame so charged sums reconcile per frame.
   Tap(*response, *accounted, 0, true);
   return response;
+}
+
+StatusOr<Transport::Delivery> RouteFrameWithRetry(
+    const FrameSender& via, uint64_t origin_node, const std::string& frame,
+    size_t accounted_bytes, DhsCostReport* cost) {
+  for (int attempt = 0;; ++attempt) {
+    auto delivery = via.transport->Route(origin_node, frame);
+    if (delivery.ok()) {
+      cost->dht_lookups += 1;
+      cost->hops += delivery->hops;
+      cost->bytes += accounted_bytes * static_cast<size_t>(delivery->hops);
+      return delivery;
+    }
+    if (!IsTransientFault(delivery.status())) return delivery.status();
+    cost->dht_lookups += 1;  // issued and charged, then lost in flight
+    if (attempt + 1 >= via.attempts) return delivery.status();
+    cost->retries += 1;
+    TraceRetry(*via.network, "lookup", attempt + 1);
+  }
+}
+
+StatusOr<Transport::Delivery> SendFrameWithRetry(
+    const FrameSender& via, uint64_t from_node, uint64_t to_node,
+    const std::string& frame, size_t accounted_bytes, DhsCostReport* cost) {
+  for (int attempt = 0;; ++attempt) {
+    auto delivery = via.transport->Send(from_node, to_node, frame);
+    if (delivery.ok()) {
+      cost->direct_probes += 1;
+      if (from_node != to_node) {
+        cost->hops += 1;
+        cost->bytes += accounted_bytes;
+      }
+      return delivery;
+    }
+    if (!IsTransientFault(delivery.status())) return delivery.status();
+    cost->direct_probes += 1;  // issued and charged, then lost in flight
+    if (attempt + 1 >= via.attempts) return delivery.status();
+    cost->retries += 1;
+    TraceRetry(*via.network, "direct_hop", attempt + 1);
+  }
+}
+
+Status PutWithReplicas(const FrameSender& via, uint64_t origin_node,
+                       PutFrame put, const IdInterval& interval,
+                       int replication, DhsCostReport* cost) {
+  const std::string frame = EncodePut(put);
+  const size_t payload = PutPayloadBytes(put.keys.size());
+
+  cost->replicas_requested += replication;
+  // The primary write is durable once the routed frame reached the
+  // responsible node (the transport applied it on delivery); replica
+  // failures below degrade, never error.
+  auto delivery = RouteFrameWithRetry(via, origin_node, frame, payload, cost);
+  if (!delivery.ok()) return delivery.status();
+  cost->replicas_written += 1;
+
+  int extra_needed = replication - 1;
+  if (extra_needed <= 0) return Status::OK();
+
+  put.expiry = PutExpiry(put, via.network->now());
+  put.absolute_expiry = true;
+  const std::string replica_frame = EncodePut(put);
+
+  // §3.5 replication, geometry-aware: the extra copies go to the nodes
+  // the counting walk probes after the primary (ReplicaCandidates
+  // shares its ordering with ProbeCandidates), falling through
+  // candidates that cannot be reached.
+  const uint64_t primary = delivery->node;
+  const std::vector<uint64_t> replicas = via.network->ReplicaCandidates(
+      interval, put.dst_key, primary, extra_needed + kReplicaSlack);
+  for (uint64_t replica : replicas) {
+    auto hop = SendFrameWithRetry(via, primary, replica, replica_frame,
+                                  payload, cost);
+    if (!hop.ok()) {
+      if (hop.status().IsInvalidArgument() ||
+          IsTransientFault(hop.status())) {
+        cost->failed_probes += 1;
+        continue;
+      }
+      return hop.status();
+    }
+    cost->replicas_written += 1;
+    if (--extra_needed == 0) break;
+  }
+  return Status::OK();
 }
 
 }  // namespace dhs

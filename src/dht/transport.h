@@ -1,8 +1,9 @@
-// Pluggable message transport for the DHS protocol.
+// Pluggable message transport for the DHS protocol, and the protocol
+// steps every sender runs over it.
 //
-// The DHS client/front-door data plane speaks encoded wire frames
-// (wire.h) through this interface instead of calling the simulator
-// directly, so one code path serves both worlds:
+// The DHS data plane speaks encoded wire frames (wire.h) through this
+// interface instead of calling the simulator directly, so one code
+// path serves both worlds:
 //
 //   SimTransport       — the virtual-clock simulator: frames are routed
 //                        with DhtNetwork::Lookup / DirectHop (same fault
@@ -22,6 +23,12 @@
 // The fault layer acts at frame granularity: each Route/Send is one
 // fault draw on the frame as issued (a faulted frame charges one
 // message, no hops, no bytes).
+//
+// RouteFrameWithRetry / SendFrameWithRetry add the retry policy, and
+// PutWithReplicas is the insertion step (§3.2 routed kPut, §3.5
+// replica copies). DhsClient's inserts and counts and the inline kPut
+// executor (shard.h) all send through them, so each step has one
+// implementation and one DhsCostReport accounting.
 
 #ifndef DHS_DHT_TRANSPORT_H_
 #define DHS_DHT_TRANSPORT_H_
@@ -52,6 +59,39 @@ struct FrameTapEvent {
   bool delivered = false;
 };
 using FrameTap = std::function<void(const FrameTapEvent&)>;
+
+/// Cost of one DHS operation, in the paper's metrics, plus the
+/// fault-tolerance accounting (retries issued, probes abandoned,
+/// replication achieved). Every *issued* message attempt — including
+/// ones a FaultPlan then fails — counts toward dht_lookups /
+/// direct_probes, so `network stats messages delta == dht_lookups +
+/// direct_probes` holds with or without faults (audit_sim pins this).
+struct DhsCostReport {
+  int nodes_visited = 0;   // distinct nodes probed for DHS state
+  int hops = 0;            // routing hops + one-hop retries
+  uint64_t bytes = 0;      // request + response payload bytes
+  int dht_lookups = 0;     // full O(log N) lookups issued
+  int direct_probes = 0;   // one-hop candidate/replica messages issued
+  int retries = 0;         // re-issued messages after a transient failure
+  int failed_probes = 0;   // candidate holders skipped after retries ran out
+  int replicas_requested = 0;  // copies the replication config asked for
+  int replicas_written = 0;    // copies durably stored (>= 1 per stored bit)
+  int bit_groups_failed = 0;   // insert bit groups whose primary write failed
+
+  DhsCostReport& operator+=(const DhsCostReport& o) {
+    nodes_visited += o.nodes_visited;
+    hops += o.hops;
+    bytes += o.bytes;
+    dht_lookups += o.dht_lookups;
+    direct_probes += o.direct_probes;
+    retries += o.retries;
+    failed_probes += o.failed_probes;
+    replicas_requested += o.replicas_requested;
+    replicas_written += o.replicas_written;
+    bit_groups_failed += o.bit_groups_failed;
+    return *this;
+  }
+};
 
 /// Transport interface. All methods are synchronous: the paper's
 /// protocol is strictly request/response and the simulator's virtual
@@ -134,6 +174,47 @@ class SimTransport final : public Transport {
   WireMetrics wire_metrics_;
   MetricsRegistry* wire_registry_ = nullptr;
 };
+
+/// How a sender's frames travel: through `transport`, which acts on
+/// `network` (its tracer records the retries; its overlay places the
+/// replicas), with up to `attempts` sends per message. A message that
+/// fails transiently (Unavailable / DeadlineExceeded) is re-issued at
+/// once: the virtual clock does not advance between attempts.
+struct FrameSender {
+  Transport* transport = nullptr;
+  DhtNetwork* network = nullptr;
+  int attempts = 1;
+};
+
+/// Routes an encoded frame under `via`'s retry policy. Every attempt
+/// sent is charged to cost (dht_lookups; hops/bytes only on success — a
+/// faulted frame does no observable work); each resend counts as a
+/// retry. Non-transient errors are terminal and uncharged (the
+/// transport rejected the frame without sending it). `accounted_bytes`
+/// is the frame's §5.1 payload (AccountedPayloadBytes), charged per hop
+/// on delivery.
+[[nodiscard]] StatusOr<Transport::Delivery> RouteFrameWithRetry(
+    const FrameSender& via, uint64_t origin_node, const std::string& frame,
+    size_t accounted_bytes, DhsCostReport* cost);
+
+/// One-hop frame forward with the same retry policy and accounting
+/// (direct_probes instead of dht_lookups).
+[[nodiscard]] StatusOr<Transport::Delivery> SendFrameWithRetry(
+    const FrameSender& via, uint64_t from_node, uint64_t to_node,
+    const std::string& frame, size_t accounted_bytes, DhsCostReport* cost);
+
+/// The insertion step: routes `put` (one bit group's tuples, addressed
+/// to a key in `interval`) from `origin_node` to the responsible node
+/// (§3.2), then writes `replication - 1` copies to the overlay's
+/// ReplicaCandidates (§3.5), all under `via`'s retry policy. The
+/// primary write is durable-or-error; a replica copy that cannot be
+/// written degrades replicas_written instead of failing the step.
+/// Replica frames carry the absolute tick the primary's TTL resolved
+/// to, so all copies of a group age out together.
+[[nodiscard]] Status PutWithReplicas(const FrameSender& via,
+                                     uint64_t origin_node, PutFrame put,
+                                     const IdInterval& interval,
+                                     int replication, DhsCostReport* cost);
 
 }  // namespace dhs
 

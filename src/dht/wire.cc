@@ -45,10 +45,12 @@ bool KnownType(uint8_t type) {
          type <= static_cast<uint8_t>(FrameType::kAck);
 }
 
-// Starts a frame: header with a body_len placeholder that
-// FinishFrame patches once the body is complete.
-std::string BeginFrame(FrameType type, uint8_t flags) {
+// Starts a frame of `body_bytes` body bytes, allocated once: header
+// with a body_len placeholder that FinishFrame patches once the body is
+// complete.
+std::string BeginFrame(FrameType type, uint8_t flags, size_t body_bytes) {
   std::string out;
+  out.reserve(kWireHeaderBytes + body_bytes);
   out.push_back(static_cast<char>(kWireMagic));
   out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(type));
@@ -176,7 +178,8 @@ StatusOr<uint64_t> RoutedDstKey(std::string_view wire) {
 
 std::string EncodeProbeOpen(const ProbeOpenFrame& frame) {
   CHECK(frame.bit >= 0 && frame.bit <= 0xff) << "wire: probe bit out of range";
-  std::string out = BeginFrame(FrameType::kProbeOpen, 0);
+  std::string out =
+      BeginFrame(FrameType::kProbeOpen, 0, kProbeOpenPayloadBytes);
   AppendLE64(out, frame.target_key);
   AppendLE16(out, static_cast<uint16_t>(frame.bit));
   AppendLE16(out, 0);  // reserved, must be zero
@@ -211,7 +214,8 @@ StatusOr<ProbeOpenFrame> DecodeProbeOpen(std::string_view wire) {
 
 std::string EncodeMetricQuery(const MetricQueryFrame& frame) {
   CHECK(frame.bit >= 0 && frame.bit <= 0xff) << "wire: query bit out of range";
-  std::string out = BeginFrame(FrameType::kMetricQuery, 0);
+  std::string out =
+      BeginFrame(FrameType::kMetricQuery, 0, kMetricQueryEnvelopeBytes);
   AppendLE64(out, frame.metric_id);
   out.push_back(static_cast<char>(frame.bit));
   FinishFrame(out);
@@ -233,7 +237,9 @@ StatusOr<MetricQueryFrame> DecodeMetricQuery(std::string_view wire) {
 }
 
 std::string EncodeVectorResponse(const VectorResponseFrame& frame) {
-  std::string out = BeginFrame(FrameType::kVectorResponse, 0);
+  std::string out = BeginFrame(
+      FrameType::kVectorResponse, 0,
+      VectorResponsePayloadBytes(frame.vector_ids.size()));
   AppendLE64(out, frame.metric_id);
   int prev = -1;
   for (int v : frame.vector_ids) {
@@ -273,9 +279,10 @@ StatusOr<VectorResponseFrame> DecodeVectorResponse(std::string_view wire) {
 // kPut
 
 std::string EncodePut(const PutFrame& frame) {
-  std::string out = BeginFrame(FrameType::kPut,
-                               frame.absolute_expiry ? kPutFlagAbsoluteExpiry
-                                                     : uint8_t{0});
+  std::string out = BeginFrame(
+      FrameType::kPut,
+      frame.absolute_expiry ? kPutFlagAbsoluteExpiry : uint8_t{0},
+      kPutEnvelopeBytes + PutPayloadBytes(frame.keys.size()));
   AppendLE64(out, frame.dst_key);
   AppendLE64(out, frame.metric_id);
   AppendLE64(out, frame.expiry);
@@ -334,7 +341,7 @@ StatusOr<PutFrame> DecodePut(std::string_view wire) {
 
 std::string EncodeAck(const AckFrame& frame) {
   CHECK(frame.hops >= 0 && frame.hops <= 0xffff) << "wire: ack hops out of range";
-  std::string out = BeginFrame(FrameType::kAck, 0);
+  std::string out = BeginFrame(FrameType::kAck, 0, kAckEnvelopeBytes);
   out.push_back(static_cast<char>(frame.code));
   AppendLE64(out, frame.node);
   AppendLE16(out, static_cast<uint16_t>(frame.hops));

@@ -48,7 +48,8 @@ double PcsaEstimateFromM(const std::vector<int>& leftmost_zero);
 
 /// Super-LogLog estimate with the truncation rule (paper eq. 2): keep the
 /// m0 = floor(theta0 * m) smallest M values and apply the calibrated
-/// constant alpha~_m. theta0 = 0.7 is the near-optimal published value.
+/// constant alpha~_m. theta0 = 0.7 is the near-optimal published value
+/// and the only one alpha~_m is calibrated for (DhsConfig::theta0).
 double SuperLogLogEstimateFromM(const std::vector<int>& max_rho,
                                 double theta0 = 0.7);
 

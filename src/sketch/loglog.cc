@@ -40,7 +40,7 @@ double LogLogSketch::Estimate() const {
 }
 
 size_t LogLogSketch::SerializedBytes() const {
-  return 9 + static_cast<size_t>(num_bitmaps_);
+  return 8 + static_cast<size_t>(num_bitmaps_);
 }
 
 Status LogLogSketch::Merge(const CardinalityEstimator& other) {

@@ -97,16 +97,6 @@ TEST(DhsConfigTest, RejectsBadShift) {
   EXPECT_TRUE(config.Validate(IdSpace(64)).ok());
 }
 
-TEST(DhsConfigTest, RejectsBadTheta) {
-  DhsConfig config;
-  config.theta0 = 0.0;
-  EXPECT_FALSE(config.Validate(IdSpace(64)).ok());
-  config.theta0 = 1.5;
-  EXPECT_FALSE(config.Validate(IdSpace(64)).ok());
-  config.theta0 = 1.0;
-  EXPECT_TRUE(config.Validate(IdSpace(64)).ok());
-}
-
 TEST(DhsConfigTest, ProbeByteFormulas) {
   // §5.1: a probe request is 12 bytes, a response listing v vectors 8 + 2v.
   EXPECT_EQ(kProbeOpenPayloadBytes, 12u);

@@ -107,7 +107,7 @@ TEST(LogLogSketchTest, ClearResets) {
 
 TEST(LogLogSketchTest, SpaceIsOneBytePerRegister) {
   LogLogSketch sketch(512, 24);
-  EXPECT_EQ(sketch.SerializedBytes(), 9u + 512u);
+  EXPECT_EQ(sketch.SerializedBytes(), 8u + 512u);
   // Much smaller than PCSA at equal m (the [11] space claim).
 }
 

@@ -56,14 +56,6 @@
 // the offending step and seed in the CHECK message (the failure
 // handler is an atomic slot, so concurrent failures are race-free).
 //
-// Engine mode (--engine): every DHS operation runs through the inline
-// insert engine's front door (ShardedNetwork + DhsFrontDoor) instead of
-// the sequential client, while churn and clock ticks still go to the
-// network directly. Every differential check above then validates the
-// engine's kPut path — the same reference model, store scans,
-// cost/stats books and trace reconciliation, with zero tolerance.
-// Incompatible with --crash (the engine rejects crash faults).
-//
 // Serving mode (--serving): the differential leg for the serving layer
 // (dhs/serving.h). Two identically seeded worlds run the same
 // randomized schedule of insert/count submissions, flushes, clock
@@ -78,7 +70,7 @@
 //
 // Usage: audit_sim [--geometry=chord|kademlia|both] [--steps=10000]
 //                  [--seed=1] [--estimator=sll|pcsa|hll]
-//                  [--engine] [--schedules=1] [--jobs=0 (hardware)]
+//                  [--schedules=1] [--jobs=0 (hardware)]
 //                  [--serving]
 //                  [--drop=P] [--timeout=P] [--crash=P]
 //                  [--trace-out=PATH] [--metrics-out=PATH]
@@ -111,12 +103,10 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "dhs/client.h"
-#include "dhs/front_door.h"
 #include "dhs/serving.h"
 #include "dht/chord.h"
 #include "dht/fault.h"
 #include "dht/kademlia.h"
-#include "dht/shard.h"
 #include "hashing/hasher.h"
 #include "sketch/estimator.h"
 #include "sketch/hyperloglog.h"
@@ -301,11 +291,6 @@ struct SimOptions {
   DhsEstimator estimator = DhsEstimator::kSuperLogLog;
   int schedules = 1;  // independently seeded runs (seed, seed+1, ...)
   int jobs = 0;       // worker threads; 0 = hardware concurrency
-  /// Run every DHS operation through the insert engine's front door
-  /// (ShardedNetwork + DhsFrontDoor) instead of the sequential client.
-  /// Every differential check then validates the engine's kPut path.
-  /// Incompatible with --crash (the engine rejects crash injection).
-  bool engine = false;
   FaultConfig faults;  // probabilities only; seed derived per schedule
   std::string trace_out;    // per-world Chrome trace JSON (empty = off)
   std::string metrics_out;  // per-world metrics JSON (empty = off)
@@ -360,12 +345,10 @@ class DifferentialSim {
     WriteObsOutputs();
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "audit_sim: %s/%s%s: seed %" PRIu64 ": %d steps, %" PRIu64
+                  "audit_sim: %s/%s: seed %" PRIu64 ": %d steps, %" PRIu64
                   " ops, 0 divergences\n",
                   net_->GeometryName(),
-                  DhsEstimatorName(options_.estimator),
-                  options_.engine ? "/engine" : "",
-                  options_.seed, options_.steps, ops_);
+                  DhsEstimatorName(options_.estimator), options_.seed, options_.steps, ops_);
     return line;
   }
 
@@ -408,16 +391,6 @@ class DifferentialSim {
     auto client = DhsClient::Create(net_.get(), config);
     CHECK_OK(client) << "bootstrap client";
     client_ = std::make_unique<DhsClient>(std::move(client.value()));
-
-    if (options_.engine) {
-      CHECK(options_.faults.crash_probability == 0.0)
-          << "--engine is incompatible with --crash: the insert engine "
-          << "rejects crash faults";
-      engine_ = std::make_unique<ShardedNetwork>(net_.get(), 1);
-      auto front = DhsFrontDoor::Create(engine_.get(), config);
-      CHECK_OK(front) << "bootstrap front door";
-      front_ = std::make_unique<DhsFrontDoor>(std::move(front.value()));
-    }
 
     if (options_.faults.Any()) {
       fault_cfg_ = options_.faults;
@@ -676,8 +649,7 @@ class DifferentialSim {
     }
     const MessageStats before = net_->stats();
     const uint64_t origin = ref_.RandomMember(rng_);
-    auto inserted = front_ ? front_->InsertBatch(origin, metric, batch, rng_)
-                           : client_->InsertBatch(origin, metric, batch, rng_);
+    auto inserted = client_->InsertBatch(origin, metric, batch, rng_);
     ReconcileCrashes();
     if (!inserted.ok()) {
       // Only a fault-injected transient failure may surface, and only
@@ -721,8 +693,7 @@ class DifferentialSim {
     const MessageStats before = net_->stats();
     const uint64_t applied_before = net_->fault_plan().stats().Applied();
     const uint64_t origin = ref_.RandomMember(rng_);
-    auto result = front_ ? front_->Count(origin, metric, rng_)
-                         : client_->Count(origin, metric, rng_);
+    auto result = client_->Count(origin, metric, rng_);
     ReconcileCrashes();
     CHECK_OK(result)
         << "step " << step_
@@ -826,8 +797,7 @@ class DifferentialSim {
     for (uint64_t metric : {uint64_t{1}, uint64_t{2}}) {
       const MessageStats before = net_->stats();
       const uint64_t origin = ref_.RandomMember(rng_);
-      auto result = front_ ? front_->Count(origin, metric, rng_)
-                           : client_->Count(origin, metric, rng_);
+      auto result = client_->Count(origin, metric, rng_);
       CHECK_OK(result) << "step " << step_ << ": count metric " << metric;
       // The client's own cost report must agree with the network's
       // books: both sides account every probe, hop and byte.
@@ -984,12 +954,6 @@ class DifferentialSim {
   // The put/get op's metric: never inserted or counted by the client.
   static constexpr uint64_t kPutMetric = 3;
   std::unique_ptr<DhsClient> client_;
-  /// Engine mode (--engine): DHS ops run through the front door;
-  /// client_ stays alive for mapping/config and the DHS-level audit (it
-  /// reads network state only). front_ references engine_, so it is
-  /// declared after (destroyed first).
-  std::unique_ptr<ShardedNetwork> engine_;
-  std::unique_ptr<DhsFrontDoor> front_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<MetricsRegistry> metrics_;
   int step_ = 0;
@@ -1402,8 +1366,6 @@ int Main(int argc, char** argv) {
       options.estimator = DhsEstimator::kPcsa;
     } else if (arg == "--estimator=hll") {
       options.estimator = DhsEstimator::kHyperLogLog;
-    } else if (arg == "--engine") {
-      options.engine = true;
     } else if (arg == "--serving") {
       serving_mode = true;
     } else if (arg.rfind("--schedules=", 0) == 0) {
@@ -1424,7 +1386,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: audit_sim [--geometry=chord|kademlia|both] "
                    "[--steps=N] [--seed=S] [--estimator=sll|pcsa|hll] "
-                   "[--engine] [--schedules=K] [--jobs=J] "
+                   "[--schedules=K] [--jobs=J] "
                    "[--serving] [--drop=P] [--timeout=P] [--crash=P] "
                    "[--trace-out=PATH] [--metrics-out=PATH]\n");
       return 2;

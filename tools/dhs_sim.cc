@@ -17,7 +17,9 @@
 // Commands:
 //   network <chord|kademlia> <nodes>     build the overlay (once)
 //   config [m=..] [k=..] [lim=..] [replication=..] [shift=..] [ttl=..]
-//          [estimator=sll|pcsa|hll]      create the DHS client
+//          [estimator=sll|pcsa|hll]      create the DHS client; a
+//                                        numeric value that is not a
+//                                        whole number exits 2
 //   insert <metric-name> <n>             insert n distinct items
 //   count <metric-name> [<name2> ...]    estimate cardinalities (one sweep)
 //   fail <n>                             abruptly fail n random nodes
@@ -44,8 +46,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -61,6 +65,7 @@
 #include "hashing/hasher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "strict_number.h"
 
 namespace dhs {
 namespace {
@@ -154,7 +159,22 @@ void CmdNetwork(SimState& state, std::istringstream& args) {
               state.network->NumNodes());
 }
 
+// Reads a config value as a whole number in [0, max]. Anything else
+// ends the script with exit 2, so a typo (ttl=abc) cannot run the
+// commands after it on a different configuration.
+uint64_t WholeValue(const std::string& token, const std::string& value,
+                    uint64_t max) {
+  uint64_t parsed = 0;
+  if (!ParseWholeNumber(value.c_str(), 0, max, &parsed)) {
+    std::fprintf(stderr, "dhs_sim: %s is not a whole number in [0, %s]\n",
+                 token.c_str(), std::to_string(max).c_str());
+    std::exit(2);
+  }
+  return parsed;
+}
+
 void CmdConfig(SimState& state, std::istringstream& args) {
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
   std::string token;
   while (args >> token) {
     const size_t eq = token.find('=');
@@ -164,19 +184,22 @@ void CmdConfig(SimState& state, std::istringstream& args) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
+    const auto whole_int = [&] {
+      return static_cast<int>(WholeValue(token, value, kIntMax));
+    };
     if (key == "m") {
-      state.config.m = std::atoi(value.c_str());
+      state.config.m = whole_int();
     } else if (key == "k") {
-      state.config.k = std::atoi(value.c_str());
+      state.config.k = whole_int();
     } else if (key == "lim") {
-      state.config.lim = std::atoi(value.c_str());
+      state.config.lim = whole_int();
     } else if (key == "replication") {
-      state.config.replication = std::atoi(value.c_str());
+      state.config.replication = whole_int();
     } else if (key == "shift") {
-      state.config.shift_bits = std::atoi(value.c_str());
+      state.config.shift_bits = whole_int();
     } else if (key == "ttl") {
       state.config.ttl_ticks =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+          WholeValue(token, value, std::numeric_limits<uint64_t>::max());
     } else if (key == "estimator") {
       if (value == "sll") {
         state.config.estimator = DhsEstimator::kSuperLogLog;
